@@ -48,6 +48,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative, got %d" % value)
+    return value
+
+
 def _read_program(path: str) -> Program:
     text = sys.stdin.read() if path == "-" else open(path).read()
     return parse_program(text)
@@ -199,10 +209,10 @@ def build_parser() -> _ArgumentParser:
     p = add_program_cmd("tight", _cmd_tight, "tightness verdict")
     p.add_argument("--on", help="comma-separated literals; check tightness on this set")
     p = add_program_cmd("solve", _cmd_solve, "answer sets via completion and SAT")
-    p.add_argument("--max-models", type=int, default=10000)
+    p.add_argument("--max-models", type=_non_negative_int, default=10000)
     p.add_argument("--trace", action="store_true", help="log acceptance details to stderr")
     p = add_program_cmd("enumerate", _cmd_enumerate, "answer sets by brute force")
-    p.add_argument("--brute-bound", type=int, default=24)
+    p.add_argument("--brute-bound", type=_non_negative_int, default=24)
     p = add_program_cmd("dimacs", _cmd_dimacs, "export the completion as DIMACS CNF")
     p.add_argument("-o", "--output", help="output file (default stdout)")
 

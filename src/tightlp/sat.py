@@ -1,4 +1,5 @@
-"""Structure-preserving clausification and an all-models DPLL backend."""
+"""Structure-preserving clausification and an all-models search that uses
+two watched literals per clause and backtracks chronologically."""
 
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ from .completion import (
     PNot,
     POr,
     PropFormula,
-    PTRUE,
-    PFALSE,
     PTrue,
     PVar,
     completion,
@@ -60,40 +59,7 @@ class SolveReport:
     stats: SolveStats
 
 
-def simplify_prop(f: PropFormula) -> PropFormula:
-    """Constant folding and double-negation removal; off by default in
-    clausify so the clause structure mirrors the completion verbatim."""
-    if isinstance(f, PNot):
-        g = simplify_prop(f.operand)
-        if isinstance(g, PNot):
-            return g.operand
-        if isinstance(g, PTrue):
-            return PFALSE
-        if isinstance(g, PFalse):
-            return PTRUE
-        return PNot(g)
-    if isinstance(f, PAnd):
-        a, b = simplify_prop(f.left), simplify_prop(f.right)
-        if isinstance(a, PFalse) or isinstance(b, PFalse):
-            return PFALSE
-        if isinstance(a, PTrue):
-            return b
-        if isinstance(b, PTrue):
-            return a
-        return PAnd(a, b)
-    if isinstance(f, POr):
-        a, b = simplify_prop(f.left), simplify_prop(f.right)
-        if isinstance(a, PTrue) or isinstance(b, PTrue):
-            return PTRUE
-        if isinstance(a, PFalse):
-            return b
-        if isinstance(b, PFalse):
-            return a
-        return POr(a, b)
-    return f
-
-
-def clausify(comp: Completion, simplify: bool = False) -> Cnf:
+def clausify(comp: Completion) -> Cnf:
     """Tseitin translation; every connective gets a definitional variable,
     including each negation, so nested ``not not`` stays visible."""
     atoms = [a for a, _ in comp.entries]
@@ -156,100 +122,118 @@ def clausify(comp: Completion, simplify: bool = False) -> Cnf:
         return out
 
     for atom, disj in comp.entries:
-        d = walk(simplify_prop(disj) if simplify else disj)
+        d = walk(disj)
         v = varmap[atom]
         emit((-v, d))
         emit((v, -d))
     for body in comp.constraint_bodies:
-        b = walk(simplify_prop(body) if simplify else body)
+        b = walk(body)
         emit((-b,))
     return Cnf(state["next"], tuple(clauses), varmap)
 
 
-def _dpll_first(num_vars: int, clauses: list[tuple[int, ...]], stats: SolveStats):
-    """First satisfying assignment in deterministic order, or None.
+def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
+    """All models projected onto the original atoms.
 
-    Branches on the lowest-numbered unassigned variable, false before true.
+    Decisions go to the atoms in varmap order, false before true, and then to
+    any auxiliary variable that propagation left open.  After a model or a
+    conflict the search backtracks chronologically to the last decision not
+    yet flipped and flips it; after a model, auxiliary decisions are dropped
+    first, since they only showed that some extension exists.  So each
+    projected model is found once, with no blocking clauses and no restarts.
     """
-    assign = [0] * (num_vars + 1)
+    stats = SolveStats()
+    n = cnf.num_vars
+    # Indexed by literal: entry -v sits at 2n+1-v, so both polarities fit.
+    val = [0] * (2 * n + 1)
+    watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+    trail: list[int] = []
+    qhead = 0
 
-    def propagate(trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                unassigned = 0
-                last = 0
-                satisfied = False
-                for lit in clause:
-                    v = assign[lit if lit > 0 else -lit]
-                    val = v if lit > 0 else -v
-                    if val > 0:
-                        satisfied = True
-                        break
-                    if val == 0:
-                        unassigned += 1
-                        last = lit
-                if satisfied:
+    def assign(lit: int) -> None:
+        val[lit] = 1
+        val[-lit] = -1
+        trail.append(lit)
+
+    def propagate() -> bool:
+        """Two-watched-literal unit propagation of the unprocessed trail."""
+        nonlocal qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            ws = watches[false_lit]
+            watches[false_lit] = kept = []
+            for i, c in enumerate(ws):
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                first = c[0]
+                if val[first] == 1:
+                    kept.append(c)
                     continue
-                if unassigned == 0:
-                    stats.conflicts += 1
-                    return False
-                if unassigned == 1:
-                    var = abs(last)
-                    assign[var] = 1 if last > 0 else -1
-                    trail.append(var)
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if val[lit] != -1:
+                        c[1], c[k] = lit, false_lit
+                        watches[lit].append(c)
+                        break
+                else:
+                    kept.append(c)
+                    if val[first] == -1:
+                        stats.conflicts += 1
+                        kept.extend(ws[i + 1 :])
+                        return False
+                    assign(first)
                     stats.propagations += 1
-                    changed = True
         return True
 
-    root: list[int] = []
-    if not propagate(root):
-        return None
-    levels: list[list] = []  # [decision var, tried true branch, trail]
-    while True:
-        var = next((v for v in range(1, num_vars + 1) if assign[v] == 0), None)
-        if var is None:
-            return assign
-        stats.decisions += 1
-        assign[var] = -1
-        levels.append([var, False, [var]])
-        while not propagate(levels[-1][2]):
-            while True:
-                if not levels:
-                    return None
-                v, tried, trail = levels[-1]
-                for u in trail:
-                    assign[u] = 0
-                if tried:
-                    levels.pop()
-                    continue
-                levels[-1][1] = True
-                assign[v] = 1
-                trail.clear()
-                trail.append(v)
-                break
+    for clause in cnf.clauses:
+        lits = list(clause)  # the solver reorders its own copy
+        if len(lits) > 1:
+            watches[lits[0]].append(lits)
+            watches[lits[1]].append(lits)
+        elif not lits or val[lits[0]] == -1:
+            return SolveReport((), stats)
+        elif val[lits[0]] == 0:
+            assign(lits[0])
+            stats.propagations += 1
 
-
-def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
-    """All models projected onto the original atoms, via blocking clauses
-    over the projected variables only."""
-    stats = SolveStats()
-    clauses = list(cnf.clauses)
-    proj = sorted(cnf.varmap.items(), key=lambda kv: kv[1])
+    proj = list(cnf.varmap.items())
+    order = [v for _, v in proj]
+    projected = set(order)
+    order += [v for v in range(1, n + 1) if v not in projected]
+    levels: list[list] = []  # [trail index of the decision, order index, flipped]
     models: list[frozenset[Atom]] = []
+    consistent = propagate()
+    i = 0
     while True:
-        assign = _dpll_first(cnf.num_vars, clauses, stats)
-        if assign is None:
+        if consistent:
+            while i < len(order) and val[order[i]]:
+                i += 1
+            if i < len(order):
+                stats.decisions += 1
+                levels.append([len(trail), i, False])
+                assign(-order[i])
+                consistent = propagate()
+                continue
+            models.append(frozenset(a for a, v in proj if val[v] == 1))
+            if len(models) > max_models:
+                raise ModelCapError(f"more than {max_models} models")
+        # a flipped level is exhausted; after a model, so is an auxiliary one
+        while levels and (levels[-1][2] or (consistent and levels[-1][1] >= len(proj))):
+            levels.pop()
+        if not levels:
             break
-        models.append(frozenset(a for a, v in proj if assign[v] == 1))
-        if len(models) > max_models:
-            raise ModelCapError(f"more than {max_models} models")
-        if not proj:
-            break
-        clauses.append(tuple(-v if assign[v] == 1 else v for _, v in proj))
-    ordered = sorted(set(models), key=atom_set_key)
-    return SolveReport(tuple(ordered), stats)
+        level = levels[-1]
+        start, i = level[0], level[1]
+        lit = trail[start]
+        for undone in trail[start:]:
+            val[undone] = val[-undone] = 0
+        del trail[start:]
+        qhead = start
+        level[2] = True
+        assign(-lit)
+        consistent = propagate()
+    return SolveReport(tuple(sorted(models, key=atom_set_key)), stats)
 
 
 def to_dimacs(cnf: Cnf) -> str:

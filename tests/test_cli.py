@@ -99,6 +99,12 @@ class TestSolve:
         assert run(["solve", program_file("{a}.\n{b}.\n"), "--max-models", "2"]) == 2
         assert "cap" in capsys.readouterr().err
 
+    def test_negative_max_models_is_a_usage_error(self, program_file, capsys):
+        assert run(["solve", program_file("{a}.\n"), "--max-models", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument --max-models: must not be negative")
+
     def test_agrees_with_enumerate(self, program_file, capsys):
         path = program_file("{a}.\n{b}.\n:- a, b.\n")
         assert run(["solve", path]) == 0
@@ -119,6 +125,12 @@ class TestEnumerate:
         assert "cap" in capsys.readouterr().err
         assert run(["enumerate", path, "--brute-bound", "5"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 32
+
+    def test_negative_bound_is_a_usage_error(self, program_file, capsys):
+        assert run(["enumerate", program_file("{a}.\n"), "--brute-bound", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument --brute-bound: must not be negative")
 
     def test_default_bound_refuses_large_programs(self, program_file, capsys):
         text = "".join("{a%d}.\n" % i for i in range(30))

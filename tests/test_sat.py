@@ -1,6 +1,7 @@
 """Clausification, the all-models backend, and solving through the completion."""
 
 import random
+import time
 
 import pytest
 
@@ -11,16 +12,12 @@ from tightlp import (
     Cnf,
     Literal,
     ModelCapError,
-    PAnd,
-    PFALSE,
-    PNot,
-    POr,
-    PTRUE,
-    PVar,
+    QueensSpec,
     TAG_ABSOLUTELY_TIGHT,
     TAG_TIGHT_ON_MODEL,
     TAG_VERIFIED,
     answer_sets_via_completion,
+    atom_set_key,
     clausify,
     completion,
     enumerate_answer_sets_bruteforce,
@@ -29,8 +26,8 @@ from tightlp import (
     is_tight_on,
     parse_literals,
     parse_program,
+    queens_program,
     satisfies_completion,
-    simplify_prop,
     solve_all,
     to_dimacs,
 )
@@ -77,26 +74,6 @@ class TestClausify:
         )
 
 
-class TestSimplifyProp:
-    def test_rewrites(self):
-        p = PVar(Atom("p"))
-        assert simplify_prop(PNot(PNot(p))) == p
-        assert simplify_prop(PAnd(PTRUE, p)) == p
-        assert simplify_prop(POr(PFALSE, p)) == p
-        assert simplify_prop(PNot(PTRUE)) == PFALSE
-        assert simplify_prop(PAnd(p, PFALSE)) == PFALSE
-
-    def test_projected_models_are_unchanged(self):
-        rng = random.Random(43)
-        for _ in range(40):
-            prog = random_program(rng, n_atoms=4, max_rules=6)
-            comp = completion(prog)
-            plain = solve_all(clausify(comp))
-            slim = solve_all(clausify(comp, simplify=True))
-            assert plain.models == slim.models
-            assert clausify(comp, simplify=True).num_vars <= clausify(comp).num_vars
-
-
 class TestSolveAll:
     def test_exclusive_or(self):
         cnf = Cnf(2, ((1, 2), (-1, -2)), {Atom("a"): 1, Atom("b"): 2})
@@ -108,8 +85,16 @@ class TestSolveAll:
         assert report.stats.decisions >= 1
 
     def test_unsatisfiable(self):
-        cnf = Cnf(1, ((1,), (-1,)), {Atom("a"): 1})
-        assert solve_all(cnf).models == ()
+        conflicting_units = Cnf(1, ((1,), (-1,)), {Atom("a"): 1})
+        assert solve_all(conflicting_units).models == ()
+        empty_clause = Cnf(2, ((1, 2), ()), {Atom("a"): 1})
+        assert solve_all(empty_clause).models == ()
+
+    def test_empty_varmap_is_an_existence_check(self):
+        sat = Cnf(2, ((1, 2), (-1, -2)), {})
+        assert solve_all(sat).models == (frozenset(),)
+        unsat = Cnf(2, ((1, 2), (1, -2), (-1, 2), (-1, -2)), {})
+        assert solve_all(unsat).models == ()
 
     def test_auxiliary_variables_are_projected_out(self):
         # var 2 is auxiliary: both values satisfy the clause set
@@ -125,9 +110,39 @@ class TestSolveAll:
 
     def test_model_cap(self):
         cnf = clausify(completion(parse_program("{a}.\n{b}.\n{c}.")))
+        assert len(solve_all(cnf, max_models=8).models) == 8
         with pytest.raises(ModelCapError):
             solve_all(cnf, max_models=7)
         assert issubclass(ModelCapError, CapacityError)
+
+    def test_clauses_are_left_as_given(self):
+        # mutable clauses, so that reordering them in place would show
+        clauses = [[1, 2, 3], [-1, -2], [-3, 1], [2, 2]]
+        cnf = Cnf(3, clauses, {Atom("a"): 1, Atom("b"): 2})
+        assert solve_all(cnf).models == (frozenset({Atom("b")}),)
+        assert cnf.clauses == [[1, 2, 3], [-1, -2], [-3, 1], [2, 2]]
+
+    def test_matches_bruteforce_on_random_cnfs(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            projected = [(Atom("x%d" % v), v) for v in range(1, rng.randint(0, n) + 1)]
+            # varmap order need not follow variable numbers
+            varmap = dict(rng.sample(projected, len(projected)))
+            clauses = tuple(
+                tuple(
+                    rng.choice((-1, 1)) * rng.randint(1, n)
+                    for _ in range(rng.randint(1, 3))
+                )
+                for _ in range(rng.randint(0, 3 * n))
+            )
+            expected = set()
+            for bits in range(2**n):
+                true = {v for v in range(1, n + 1) if bits >> (v - 1) & 1}
+                if all(any((l > 0) == (abs(l) in true) for l in c) for c in clauses):
+                    expected.add(frozenset(a for a, v in varmap.items() if v in true))
+            report = solve_all(Cnf(n, clauses, varmap))
+            assert report.models == tuple(sorted(expected, key=atom_set_key))
 
 
 class TestAnswerSetsViaCompletion:
@@ -158,6 +173,14 @@ class TestAnswerSetsViaCompletion:
         i = result.answer_sets.index(parse_literals("p, q"))
         assert result.tags[i] == TAG_VERIFIED
         assert not is_tight_on(prog, parse_literals("p, q"))
+
+    def test_queens_7_within_budget(self):
+        # 40 models; a search that restarts from the root per model took 20 s
+        start = time.perf_counter()
+        result = answer_sets_via_completion(queens_program(QueensSpec(7)))
+        elapsed = time.perf_counter() - start
+        assert len(result.answer_sets) == 40
+        assert elapsed < 5.0, "queens 7 took %.1fs (budget 5s)" % elapsed
 
     def test_model_cap_propagates(self):
         with pytest.raises(ModelCapError):
