@@ -249,6 +249,10 @@ def run(argv=None) -> int:
     except CapacityError as e:
         print("resource cap exceeded: %s" % e, file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as e:
+        # input nested or sized past what the interpreter can hold
+        print("resource cap exceeded: %s" % (str(e) or type(e).__name__), file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> None:

@@ -6,73 +6,17 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .syntax import (
-    And,
+    COMPLETION_STYLE,
     Atom,
-    Bottom,
     Formula,
-    Lit,
     Literal,
-    Not,
-    Or,
     Program,
-    Top,
     atom_key,
+    disj_of,
     is_normal,
+    render_formula,
 )
 from .semantics import satisfies
-
-
-class PropFormula:
-    """Propositional formula over atoms."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return render_prop(self)
-
-
-@dataclass(frozen=True)
-class PVar(PropFormula):
-    atom: Atom
-
-
-@dataclass(frozen=True)
-class PTrue(PropFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class PFalse(PropFormula):
-    pass
-
-
-PTRUE = PTrue()
-PFALSE = PFalse()
-
-
-@dataclass(frozen=True)
-class PNot(PropFormula):
-    operand: PropFormula
-
-
-@dataclass(frozen=True)
-class PAnd(PropFormula):
-    left: PropFormula
-    right: PropFormula
-
-
-@dataclass(frozen=True)
-class POr(PropFormula):
-    left: PropFormula
-    right: PropFormula
-
-
-@dataclass(frozen=True)
-class PIff(PropFormula):
-    """Equivalence; appears only at the root of completion entries."""
-
-    left: PropFormula
-    right: PropFormula
 
 
 def is_supported(x: frozenset[Literal], program: Program) -> bool:
@@ -87,53 +31,22 @@ def is_supported(x: frozenset[Literal], program: Program) -> bool:
     return True
 
 
-def _translate(f: Formula) -> PropFormula:
-    if isinstance(f, Lit):
-        if f.literal.negated:
-            raise ValueError("completion requires a normal program")
-        return PVar(f.literal.atom)
-    if isinstance(f, Top):
-        return PTRUE
-    if isinstance(f, Bottom):
-        return PFALSE
-    if isinstance(f, Not):
-        return PNot(_translate(f.operand))
-    if isinstance(f, And):
-        return PAnd(_translate(f.left), _translate(f.right))
-    if isinstance(f, Or):
-        return POr(_translate(f.left), _translate(f.right))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _disj(parts: list[PropFormula]) -> PropFormula:
-    out: PropFormula | None = None
-    for p in parts:
-        out = p if out is None else POr(out, p)
-    return PFALSE if out is None else out
-
-
 @dataclass(frozen=True)
 class Completion:
-    """Per-atom body disjunctions plus one translated body per constraint.
+    """Per-atom body disjunctions plus the body of each constraint.
 
-    An atom heading no rule gets the empty disjunction (false).  Constraints
-    are the requirement that none of their bodies hold.
+    The bodies are the rule bodies themselves, read classically: ``not`` as
+    negation, ``,`` as conjunction and ``;`` as disjunction.  An atom heading
+    no rule gets the empty disjunction (false).  Constraints are the
+    requirement that none of their bodies hold.
     """
 
-    entries: tuple[tuple[Atom, PropFormula], ...]
-    constraint_bodies: tuple[PropFormula, ...]
+    entries: tuple[tuple[Atom, Formula], ...]
+    constraint_bodies: tuple[Formula, ...]
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
         return tuple(a for a, _ in self.entries)
-
-    def equivalences(self) -> tuple[PropFormula, ...]:
-        """The completion as formulas: atom equivalences, then the
-        negated disjunction of constraint bodies when constraints exist."""
-        out = [PIff(PVar(a), d) for a, d in self.entries]
-        if self.constraint_bodies:
-            out.append(PNot(_disj(list(self.constraint_bodies))))
-        return tuple(out)
 
 
 def completion(program: Program) -> Completion:
@@ -143,72 +56,32 @@ def completion(program: Program) -> Completion:
             "apply eliminate_classical_negation first"
         )
     atoms = sorted({l.atom for l in program.universe}, key=atom_key)
-    bodies: dict[Atom, list[PropFormula]] = {a: [] for a in atoms}
-    constraint_bodies: list[PropFormula] = []
+    bodies: dict[Atom, list[Formula]] = {a: [] for a in atoms}
+    constraint_bodies: list[Formula] = []
     for r in program.rules:
         if r.head is None:
-            constraint_bodies.append(_translate(r.body))
+            constraint_bodies.append(r.body)
         else:
-            bodies[r.head.atom].append(_translate(r.body))
-    entries = tuple((a, _disj(bodies[a])) for a in atoms)
+            bodies[r.head.atom].append(r.body)
+    entries = tuple((a, disj_of(bodies[a])) for a in atoms)
     return Completion(entries, tuple(constraint_bodies))
-
-
-def eval_prop(f: PropFormula, atoms: frozenset[Atom]) -> bool:
-    if isinstance(f, PVar):
-        return f.atom in atoms
-    if isinstance(f, PTrue):
-        return True
-    if isinstance(f, PFalse):
-        return False
-    if isinstance(f, PNot):
-        return not eval_prop(f.operand, atoms)
-    if isinstance(f, PAnd):
-        return eval_prop(f.left, atoms) and eval_prop(f.right, atoms)
-    if isinstance(f, POr):
-        return eval_prop(f.left, atoms) or eval_prop(f.right, atoms)
-    if isinstance(f, PIff):
-        return eval_prop(f.left, atoms) == eval_prop(f.right, atoms)
-    raise TypeError(f"not a propositional formula: {f!r}")
 
 
 def satisfies_completion(atoms: Iterable[Atom], comp: Completion) -> bool:
     xs = frozenset(atoms)
+    x = frozenset(Literal(a) for a in xs)
     for a, d in comp.entries:
-        if (a in xs) != eval_prop(d, xs):
+        if (a in xs) != satisfies(x, d):
             return False
-    return not any(eval_prop(b, xs) for b in comp.constraint_bodies)
-
-
-def render_prop(f: PropFormula) -> str:
-    if isinstance(f, PVar):
-        return str(f.atom)
-    if isinstance(f, PTrue):
-        return "true"
-    if isinstance(f, PFalse):
-        return "false"
-    if isinstance(f, PNot):
-        inner = render_prop(f.operand)
-        if isinstance(f.operand, (PVar, PTrue, PFalse)):
-            return "-" + inner
-        return "-(%s)" % inner
-    if isinstance(f, PIff):
-        return "%s <-> %s" % (render_prop(f.left), render_prop(f.right))
-    if isinstance(f, (PAnd, POr)):
-        op = " & " if isinstance(f, PAnd) else " | "
-        sides = []
-        for side, keep_flat in ((f.left, True), (f.right, False)):
-            text = render_prop(side)
-            same = type(side) is type(f)
-            if isinstance(side, (PAnd, POr)) and not (same and keep_flat):
-                text = "(%s)" % text
-            sides.append(text)
-        return op.join(sides)
-    raise TypeError(f"not a propositional formula: {f!r}")
+    return not any(satisfies(x, b) for b in comp.constraint_bodies)
 
 
 def render_completion(comp: Completion) -> str:
-    lines = ["%s <-> %s" % (a, render_prop(d)) for a, d in comp.entries]
+    lines = [
+        "%s <-> %s" % (a, render_formula(d, COMPLETION_STYLE)) for a, d in comp.entries
+    ]
     if comp.constraint_bodies:
-        lines.append("false <-> %s" % render_prop(_disj(list(comp.constraint_bodies))))
+        lines.append(
+            "false <-> %s" % render_formula(disj_of(comp.constraint_bodies), COMPLETION_STYLE)
+        )
     return "\n".join(lines)

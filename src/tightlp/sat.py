@@ -3,29 +3,26 @@ two watched literals per clause and backtracks chronologically."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
+    And,
     Atom,
+    Bottom,
+    Formula,
+    Lit,
     Literal,
+    Not,
+    Or,
     Program,
+    Top,
     atom_set_key,
     eliminate_classical_negation,
     is_normal,
     literal_set_key,
 )
 from .semantics import CapacityError, is_answer_set
-from .completion import (
-    Completion,
-    PAnd,
-    PFalse,
-    PNot,
-    POr,
-    PropFormula,
-    PTrue,
-    PVar,
-    completion,
-)
+from .completion import Completion, completion
 from .tightness import is_absolutely_tight, is_tight_on
 
 TAG_ABSOLUTELY_TIGHT = "absolutely-tight"
@@ -65,7 +62,7 @@ def clausify(comp: Completion) -> Cnf:
     atoms = [a for a, _ in comp.entries]
     varmap = {a: i + 1 for i, a in enumerate(atoms)}
     clauses: list[tuple[int, ...]] = []
-    cache: dict[PropFormula, int] = {}
+    cache: dict[Formula, int] = {}
     state = {"next": len(atoms), "true": 0}
 
     def fresh() -> int:
@@ -89,26 +86,26 @@ def clausify(comp: Completion) -> Cnf:
             clauses.append((state["true"],))
         return state["true"]
 
-    def walk(f: PropFormula) -> int:
+    def walk(f: Formula) -> int:
         got = cache.get(f)
         if got is not None:
             return got
-        if isinstance(f, PVar):
-            out = varmap[f.atom]
-        elif isinstance(f, PTrue):
+        if isinstance(f, Lit):
+            out = varmap[f.literal.atom]
+        elif isinstance(f, Top):
             out = const_true()
-        elif isinstance(f, PFalse):
+        elif isinstance(f, Bottom):
             out = -const_true()
-        elif isinstance(f, PNot):
+        elif isinstance(f, Not):
             c = walk(f.operand)
             out = fresh()
             emit((-out, -c))
             emit((out, c))
-        elif isinstance(f, (PAnd, POr)):
+        elif isinstance(f, (And, Or)):
             a = walk(f.left)
             b = walk(f.right)
             out = fresh()
-            if isinstance(f, PAnd):
+            if isinstance(f, And):
                 emit((-out, a))
                 emit((-out, b))
                 emit((out, -a, -b))

@@ -121,8 +121,15 @@ def minimal_closed_set(program: Program) -> frozenset[Literal] | None:
 
 
 def is_answer_set(x: frozenset[Literal], program: Program) -> bool:
-    """x is the minimal consistent closed set of the reduct relative to x."""
-    return minimal_closed_set(reduct(program, x)) == frozenset(x)
+    """x is the minimal consistent closed set of the reduct relative to x.
+
+    Equal to ``minimal_closed_set(reduct(program, x)) == x``, decided by the
+    fixpoint that brute force uses, without building the reduct.
+    """
+    heads = [(r.head, r.body) for r in program.rules if r.head is not None]
+    constraints = [r.body for r in program.rules if r.head is None]
+    # the fixpoint check alone would accept an inconsistent x such as {p, -p}
+    return is_consistent(x) and _answer_set_check(frozenset(x), heads, constraints)
 
 
 def _reduct_sat(formula: Formula, y: frozenset[Literal], x: frozenset[Literal]) -> bool:
@@ -145,8 +152,8 @@ def _answer_set_check(
     heads: list[tuple[Literal, Formula]],
     constraints: list[Formula],
 ) -> bool:
-    # fused is_answer_set: fixpoint of the reduct with early exit once the
-    # iterate escapes x (the sequence is increasing, so the fixpoint would too)
+    # fixpoint of the reduct relative to a consistent x, with early exit once
+    # the iterate escapes x (the sequence is increasing, so the fixpoint would too)
     y: frozenset[Literal] = frozenset()
     while True:
         ny = frozenset(h for h, b in heads if _reduct_sat(b, y, x))

@@ -105,6 +105,13 @@ class Formula:
 class Lit(Formula):
     literal: Literal
 
+    # The recursive walkers reach the literals at their deepest stack level,
+    # and clausify hashes every subformula it meets, so hashing (and
+    # rendering) a Lit skips the Literal method.  A literal and its
+    # complement share a hash; == tells them apart.
+    def __hash__(self) -> int:
+        return hash(self.literal.atom)
+
 
 @dataclass(frozen=True)
 class Top(Formula):
@@ -246,33 +253,39 @@ def merge_programs(*programs: Program) -> Program:
 # ---------------------------------------------------------------------------
 # rendering
 
-_PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3
+# One row per reading of a body: the prefix of a negation, the operands that a
+# negation leaves bare, and the infix text and binding strength of And and Or.
+# A rule body reads ``not``/``,``/``;`` with And binding tighter; the
+# completion reads the same formula classically, with neither binding tighter.
+RULE_STYLE = ("not ", (Lit, Top, Bottom, Not), {And: (", ", 2), Or: ("; ", 1)})
+COMPLETION_STYLE = ("-", (Lit, Top, Bottom), {And: (" & ", 1), Or: (" | ", 1)})
 
 
-def render_formula(f: Formula, min_prec: int = _PREC_OR) -> str:
+def render_formula(f: Formula, style: tuple = RULE_STYLE) -> str:
+    """Text of a formula; a binary operand is parenthesized unless it binds
+    tighter than its parent, or is the left operand of the same connective."""
     if isinstance(f, Lit):
-        return str(f.literal)
+        return ("-%s" if f.literal.negated else "%s") % f.literal.atom
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Bottom):
         return "false"
+    neg, bare, infix = style
     if isinstance(f, Not):
-        return "not " + render_formula(f.operand, _PREC_UNARY)
-    if isinstance(f, And):
-        text = "%s, %s" % (
-            render_formula(f.left, _PREC_AND),
-            render_formula(f.right, _PREC_AND + 1),
-        )
-        prec = _PREC_AND
-    elif isinstance(f, Or):
-        text = "%s; %s" % (
-            render_formula(f.left, _PREC_OR),
-            render_formula(f.right, _PREC_OR + 1),
-        )
-        prec = _PREC_OR
-    else:
+        text = render_formula(f.operand, style)
+        return neg + (text if isinstance(f.operand, bare) else "(%s)" % text)
+    if type(f) not in infix:
         raise TypeError(f"not a formula: {f!r}")
-    return "(%s)" % text if prec < min_prec else text
+    op, strength = infix[type(f)]
+    left = render_formula(f.left, style)
+    right = render_formula(f.right, style)
+    inner = infix.get(type(f.left))
+    if inner and inner[1] <= strength and type(f.left) is not type(f):
+        left = "(%s)" % left
+    inner = infix.get(type(f.right))
+    if inner and inner[1] <= strength:
+        right = "(%s)" % right
+    return left + op + right
 
 
 def render_rule(r: Rule) -> str:
@@ -564,11 +577,6 @@ def parse_literals(text: str) -> frozenset[Literal]:
 
 # ---------------------------------------------------------------------------
 # classical negation
-
-def all_literals(program: Program) -> frozenset[Literal]:
-    """Universe of the program: every regular literal plus declared extras."""
-    return program.universe
-
 
 def is_normal(program: Program) -> bool:
     """True when no classical negation occurs in rules or declarations."""

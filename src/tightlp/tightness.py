@@ -89,26 +89,8 @@ class Digraph:
             depth(v)
         return depths
 
-    def to_dot(self, name: str = "g", key: Callable = literal_key) -> str:
-        lines = ["digraph %s {" % name]
-        linked = {u for u, _ in self.edges} | {w for _, w in self.edges}
-        for v in sorted(self.vertices - linked, key=key):
-            lines.append('  "%s";' % v)
-        for u, w in sorted(self.edges, key=lambda e: (key(e[0]), key(e[1]))):
-            lines.append('  "%s" -> "%s";' % (u, w))
-        lines.append("}")
-        return "\n".join(lines)
 
-
-class ParentGraph(Digraph):
-    """Edges run from each parent to its child literal, relative to (p, x)."""
-
-
-class PosDepGraph(Digraph):
-    """Positive dependencies of a program: body literal to head literal."""
-
-
-def parent_graph(program: Program, x: Iterable[Literal]) -> ParentGraph:
+def parent_graph(program: Program, x: Iterable[Literal]) -> Digraph:
     """L' -> L edges for rules with head L in x and body satisfied by x,
     one per L' in the body's positive literals that lie in x."""
     xs = frozenset(x)
@@ -121,10 +103,11 @@ def parent_graph(program: Program, x: Iterable[Literal]) -> ParentGraph:
         for l in positive_literals(r.body):
             if l in xs:
                 edges.add((l, r.head))
-    return ParentGraph(xs, frozenset(edges))
+    return Digraph(xs, frozenset(edges))
 
 
-def positive_dependency_graph(program: Program) -> PosDepGraph:
+def positive_dependency_graph(program: Program) -> Digraph:
+    """Positive dependencies of a program: body literal to head literal."""
     vertices = set()
     edges = set()
     for r in program.rules:
@@ -133,7 +116,7 @@ def positive_dependency_graph(program: Program) -> PosDepGraph:
             vertices.add(r.head)
             for l in positive_literals(r.body):
                 edges.add((l, r.head))
-    return PosDepGraph(frozenset(vertices), frozenset(edges))
+    return Digraph(frozenset(vertices), frozenset(edges))
 
 
 def program_positive_literals(program: Program) -> frozenset[Literal]:

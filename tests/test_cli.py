@@ -1,10 +1,16 @@
 """Command line behavior: output goldens, exit codes, stdin plumbing."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from tightlp.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 DOUBLE_NEG = "p :- not not p.\np :- p, q.\n"
 CONTRARY = "p :- not -q.\n-q :- not p.\n"
@@ -150,6 +156,38 @@ class TestDimacs:
         text = target.read_text()
         assert "c var 3 = q_neg" in text
         assert capsys.readouterr().out == ""
+
+
+def wide_program(shape, n):
+    """One head with n rules, or one body that is an n-way disjunction."""
+    if shape == "head":
+        return "".join("h :- a(%d), not b(%d).\n" % (i, i) for i in range(1, n + 1))
+    return "h :- %s.\n" % "; ".join("a(%d)" % i for i in range(1, n + 1))
+
+
+class TestDeepInputs:
+    def test_recursion_limit_is_a_resource_cap(self, program_file, capsys):
+        assert run(["solve", program_file(wide_program("or", 3000))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource cap exceeded: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "complete", "dimacs"])
+    @pytest.mark.parametrize("shape", ["head", "or"])
+    def test_480_elements_fit_the_default_stack(self, shape, command):
+        # a fresh interpreter starts from a shallow stack, as the CLI does
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tightlp", command, "-"],
+            input=wide_program(shape, 480),
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGenerators:

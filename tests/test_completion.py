@@ -1,30 +1,30 @@
 """Program completion: structure, rendering and the supported-model reading."""
 
+import hashlib
 import random
 
 import pytest
 
 from conftest import random_program
 from tightlp import (
-    PFALSE,
+    FALSE,
+    And,
     Atom,
+    Lit,
     Literal,
-    PAnd,
-    PIff,
-    PNot,
-    POr,
-    PVar,
+    Not,
+    Or,
     completion,
     enumerate_answer_sets_bruteforce,
-    eval_prop,
     is_closed,
     is_supported,
     parse_literals,
     parse_program,
     render_completion,
-    render_prop,
+    render_formula,
     satisfies_completion,
 )
+from tightlp.syntax import COMPLETION_STYLE
 
 
 def atoms_of(x):
@@ -50,17 +50,12 @@ class TestCompletionStructure:
         comp = completion(parse_program("p :- q.\np :- not r.\n:- p, q."))
         p, q, r = Atom("p"), Atom("q"), Atom("r")
         assert comp.atoms == (p, q, r)
+        lp, lq, lr = (Lit(Literal(a)) for a in (p, q, r))
         entries = dict(comp.entries)
-        assert entries[p] == POr(PVar(q), PNot(PVar(r)))
-        assert entries[q] == PFALSE
-        assert entries[r] == PFALSE
-        assert comp.constraint_bodies == (PAnd(PVar(p), PVar(q)),)
-
-    def test_equivalences_shape(self):
-        comp = completion(parse_program("p :- q.\n:- q."))
-        eqs = comp.equivalences()
-        assert eqs[0] == PIff(PVar(Atom("p")), PVar(Atom("q")))
-        assert eqs[-1] == PNot(PVar(Atom("q")))
+        assert entries[p] == Or(lq, Not(lr))
+        assert entries[q] == FALSE
+        assert entries[r] == FALSE
+        assert comp.constraint_bodies == (And(lp, lq),)
 
     def test_declared_atoms_get_entries(self):
         comp = completion(parse_program("#universe t.\np."))
@@ -83,19 +78,33 @@ class TestRendering:
         )
 
     def test_render_prop_parenthesizes_mixed_operators(self):
-        p, q, r = (PVar(Atom(n)) for n in "pqr")
-        assert render_prop(POr(POr(p, q), r)) == "p | q | r"
-        assert render_prop(PAnd(p, POr(q, r))) == "p & (q | r)"
+        p, q, r = (Lit(Literal(Atom(n))) for n in "pqr")
+
+        def show(f):
+            return render_formula(f, COMPLETION_STYLE)
+
+        assert show(Or(Or(p, q), r)) == "p | q | r"
+        assert show(Or(p, Or(q, r))) == "p | (q | r)"
+        assert show(And(p, Or(q, r))) == "p & (q | r)"
+        assert show(Or(And(p, q), r)) == "(p & q) | r"
+        assert show(Not(And(p, Not(q)))) == "-(p & -q)"
+
+    def test_rendering_is_pinned_on_random_programs(self):
+        # any drift in the completion's text changes this digest
+        rng = random.Random(2003)
+        texts = [
+            render_completion(
+                completion(random_program(rng, n_atoms=5, max_rules=8, depth=3))
+            )
+            for _ in range(300)
+        ]
+        digest = hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+        assert digest == (
+            "cca46d96538b95d26dec4ef95ee0717d9ec2c29a4f533d9878e8ee2319f48150"
+        )
 
 
 class TestModelsOfTheCompletion:
-    def test_eval_prop(self):
-        p, q = Atom("p"), Atom("q")
-        f = POr(PVar(p), PNot(PVar(q)))
-        assert eval_prop(f, frozenset({p}))
-        assert eval_prop(f, frozenset())
-        assert not eval_prop(f, frozenset({q}))
-
     def test_satisfies_completion_examples(self):
         comp = completion(parse_program("p :- not not p.\np :- p, q."))
         assert satisfies_completion(frozenset(), comp)

@@ -181,10 +181,30 @@ class TestAnswerSets:
             prog = random_program(rng, n_atoms=3, max_rules=6, classical=True)
             got = enumerate_answer_sets_bruteforce(prog)
             expect = {
-                x for x in consistent_subsets(prog.universe) if is_answer_set(x, prog)
+                x
+                for x in consistent_subsets(prog.universe)
+                if minimal_closed_set(reduct(prog, x)) == x
             }
             assert set(got) == expect
             assert len(got) == len(expect)
+
+    def test_inconsistent_set_is_never_an_answer_set(self):
+        prog = parse_program("p.\n-p.")
+        x = parse_literals("p, -p")
+        assert minimal_closed_set(reduct(prog, x)) is None
+        assert not is_answer_set(x, prog)
+        assert enumerate_answer_sets_bruteforce(prog) == ()
+
+    def test_matches_the_definition_on_every_set(self):
+        # inconsistent sets included: every subset of the universe is tried
+        rng = random.Random(37)
+        for _ in range(60):
+            prog = random_program(rng, n_atoms=3, max_rules=6, classical=True)
+            universe = sorted(prog.universe, key=str)
+            for bits in range(2 ** len(universe)):
+                x = frozenset(l for i, l in enumerate(universe) if bits >> i & 1)
+                expect = minimal_closed_set(reduct(prog, x)) == x
+                assert is_answer_set(x, prog) is expect
 
     def test_enumeration_bound(self):
         facts = Program(

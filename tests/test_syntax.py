@@ -58,6 +58,13 @@ class TestAtomsAndLiterals:
         assert complement(lit) == Literal(Atom("q"))
         assert complement(complement(lit)) == lit
 
+    def test_complementary_lits_stay_distinct(self):
+        pos, neg = Lit(Literal(Atom("q"))), Lit(Literal(Atom("q"), True))
+        assert pos == Lit(Literal(Atom("q")))
+        assert hash(pos) == hash(Lit(Literal(Atom("q"))))
+        assert pos != neg
+        assert len({pos, neg, Lit(Literal(Atom("q")))}) == 2
+
     def test_format_literal_set(self):
         lits = [Literal(Atom("q"), True), Literal(Atom("p"))]
         assert format_literal_set(lits) == "{p, -q}"

@@ -46,10 +46,6 @@ class TestDigraph:
         )
         assert g.longest_path_depths(key=str) == {"a": 0, "b": 1, "c": 2, "d": 0}
 
-    def test_to_dot_lists_isolated_vertices(self):
-        g = Digraph(frozenset("ab"), frozenset({("a", "a")}))
-        assert g.to_dot(key=str) == 'digraph g {\n  "b";\n  "a" -> "a";\n}'
-
 
 class TestParentGraph:
     def test_edges_need_a_satisfied_body(self):
