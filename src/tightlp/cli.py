@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .syntax import (
@@ -36,7 +37,7 @@ from .generators import (
     queens_program,
 )
 from .transitive_closure import DefSpec, def_rules
-from .syntax import eliminate_classical_negation, is_normal
+from .syntax import eliminate_classical_negation
 
 
 class _UsageError(Exception):
@@ -103,14 +104,14 @@ def _cmd_tight(args) -> int:
     if not is_consistent(x):
         raise ValueError("--on set must be consistent")
     shown = format_literal_set(x)
-    cycle = parent_graph(program, x).find_cycle()
-    if cycle is None:
-        print("tight on %s" % shown)
-        witness = lambda_witness(program, x)
-        if witness:
-            print(_format_witness(witness))
+    witness = lambda_witness(program, x)
+    if witness is None:
+        cycle = parent_graph(program, x).find_cycle()
+        print("not tight on %s; cycle: %s" % (shown, _format_cycle(cycle)))
         return 0
-    print("not tight on %s; cycle: %s" % (shown, _format_cycle(cycle)))
+    print("tight on %s" % shown)
+    if witness:
+        print(_format_witness(witness))
     return 0
 
 
@@ -156,9 +157,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_dimacs(args) -> int:
-    program = _read_program(args.program)
-    if not is_normal(program):
-        program, _ = eliminate_classical_negation(program)
+    program, _ = eliminate_classical_negation(_read_program(args.program))
     text = to_dimacs(clausify(completion(program)))
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
@@ -190,7 +189,9 @@ def _cmd_gen_tc(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = _ArgumentParser(
         prog="tightlp",
         description="Tightness analysis and answer set solving for logic "

@@ -18,7 +18,6 @@ from .syntax import (
     Top,
     atom_set_key,
     eliminate_classical_negation,
-    is_normal,
     literal_set_key,
 )
 from .semantics import CapacityError, is_answer_set
@@ -269,10 +268,7 @@ def answer_sets_via_completion(
     that if it passes the reduct fixpoint check; remaining models are dropped.
     Classical negation is eliminated up front and models are mapped back.
     """
-    if is_normal(program):
-        target, mapping = program, {}
-    else:
-        target, mapping = eliminate_classical_negation(program)
+    target, mapping = eliminate_classical_negation(program)
     comp = completion(target)
     cnf = clausify(comp)
     report = solve_all(cnf, max_models=max_models)

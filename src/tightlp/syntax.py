@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Union
 
 Term = Union[str, int]
 
-_IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _KEYWORDS = frozenset({"not", "true", "false"})
 
 
@@ -40,7 +39,8 @@ class Atom:
     args: tuple[Term, ...] = ()
 
     def __post_init__(self):
-        if not _IDENT_RE.match(self.predicate) or self.predicate in _KEYWORDS:
+        m = _TOKEN_RE.fullmatch(self.predicate)
+        if m is None or m.lastgroup != "ident" or self.predicate in _KEYWORDS:
             raise ValueError(f"invalid predicate name: {self.predicate!r}")
         object.__setattr__(self, "args", tuple(self.args))
 
@@ -308,126 +308,93 @@ def render(program: Program) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "int", "punct", "decl", "eof"
-    value: str
-    line: int
-    column: int
+# One alternative per token kind, tried at a position so the text is never
+# sliced; ASCII only, so a letter or digit outside ASCII is an unexpected
+# character.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r\n]+)|(?P<comment>%[^\n]*)|(?P<ident>[a-z][A-Za-z0-9_]*)"
+    r"|(?P<int>[0-9]+)|(?P<punct>:-|[.,;()\-{}])|(?P<decl>#[a-z]*)"
+)
+_SKIPPED = frozenset({"space", "comment"})
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of an offset."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens, closed by an ``eof`` token whose text
+    is what error messages show for it."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == "#":
-            m = re.match(r"#[a-z]+", text[i:])
-            word = m.group(0) if m else "#"
-            if word != "#universe":
-                raise ParseError(f"unknown declaration {word!r}", start_line, start_col)
-            tokens.append(_Token("decl", word, start_line, start_col))
-            i += len(word)
-            col += len(word)
-            continue
-        if c == ":":
-            if text[i : i + 2] != ":-":
-                raise ParseError("expected ':-'", start_line, start_col)
-            tokens.append(_Token("punct", ":-", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in ".,;()-{}":
-            tokens.append(_Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            m = re.match(r"\d+", text[i:])
-            tokens.append(_Token("int", m.group(0), start_line, start_col))
-            i += len(m.group(0))
-            col += len(m.group(0))
-            continue
-        if c.isalpha() and c.islower():
-            m = re.match(r"[a-z][A-Za-z0-9_]*", text[i:])
-            tokens.append(_Token("ident", m.group(0), start_line, start_col))
-            i += len(m.group(0))
-            col += len(m.group(0))
-            continue
-        if c.isalpha() or c == "_":
-            raise ParseError(
-                f"unexpected character {c!r} (identifiers start with a lowercase "
-                "letter; variables are not supported)",
-                start_line,
-                start_col,
-            )
-        raise ParseError(f"unexpected character {c!r}", start_line, start_col)
-    tokens.append(_Token("eof", "", line, col))
+    pos, n = 0, len(text)
+    m = kind = None
+    while pos < n:
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            c = text[pos]
+            if c == ":":
+                message = "expected ':-'"
+            elif c == "_" or "A" <= c <= "Z":
+                message = (
+                    f"unexpected character {c!r} (identifiers start with a lowercase "
+                    "letter; variables are not supported)"
+                )
+            else:
+                message = f"unexpected character {c!r}"
+            raise ParseError(message, *_position(text, pos))
+        kind = m.lastgroup
+        if kind not in _SKIPPED:
+            if kind == "decl" and m.group() != "#universe":
+                raise ParseError(f"unknown declaration {m.group()!r}", *_position(text, pos))
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    # input that ends in a comment ends where the comment starts
+    tokens.append(("eof", "end of input", m.start() if kind == "comment" else n))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.arities: dict[str, int] = {}
         self.arity_warned: set[str] = set()
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def at(self, value: str) -> bool:
+        # punctuation, keyword and other token texts never coincide
+        return self.tokens[self.pos][1] == value
 
-    def expect(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == value:
-            return self.take()
-        shown = tok.value if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected {value!r}, found {shown!r}", tok.line, tok.column)
+    def accept(self, value: str) -> bool:
+        """Consume the next token if its text is value."""
+        if self.tokens[self.pos][1] == value:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> None:
+        if not self.accept(value):
+            raise self.fail(f"expected {value!r}, found {self.peek()[1]!r}")
 
     def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
-
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == word
+        return ParseError(message, *_position(self.text, self.peek()[2]))
 
     # grammar entry points -------------------------------------------------
 
     def program(self) -> Program:
         rules: list[Rule] = []
         declared: set[Literal] = set()
-        while self.peek().kind != "eof":
-            if self.peek().kind == "decl":
-                self.take()
+        while self.peek()[0] != "eof":
+            if self.accept("#universe"):
                 declared.update(self.literal_list())
                 self.expect(".")
-            elif self.at_punct("{"):
+            elif self.at("{"):
                 rules.append(self.choice_rule())
-            elif self.peek().kind == "int":
+            elif self.peek()[0] == "int":
                 raise self.fail("weight constraints are not supported")
             else:
                 rules.append(self.rule())
@@ -435,37 +402,34 @@ class _Parser:
 
     def literal_list(self) -> list[Literal]:
         out = [self.literal()]
-        while self.at_punct(","):
-            self.take()
+        while self.accept(","):
             out.append(self.literal())
         return out
 
     def choice_rule(self) -> Rule:
         self.expect("{")
-        if self.at_punct("-"):
+        if self.at("-"):
             raise self.fail("classical negation is not allowed inside a choice")
         atom = self.atom()
-        if self.at_punct(",") or self.at_punct(";"):
+        if self.at(",") or self.at(";"):
             raise self.fail(
                 "only a single atom is allowed inside a choice "
                 "(weight constraints are not supported)"
             )
         self.expect("}")
-        if self.at_punct(":-"):
+        if self.at(":-"):
             raise self.fail("a choice rule cannot have a body")
         self.expect(".")
         lit = Literal(atom)
         return Rule(lit, Not(Not(Lit(lit))))
 
     def rule(self) -> Rule:
-        if self.at_punct(":-"):
-            self.take()
+        if self.accept(":-"):
             body = self.body()
             self.expect(".")
             return Rule(None, body)
         head = self.literal()
-        if self.at_punct("."):
-            self.take()
+        if self.accept("."):
             return Rule(head, TRUE)
         self.expect(":-")
         body = self.body()
@@ -474,77 +438,64 @@ class _Parser:
 
     def body(self) -> Formula:
         out = self.conjunction()
-        while self.at_punct(";"):
-            self.take()
+        while self.accept(";"):
             out = Or(out, self.conjunction())
         return out
 
     def conjunction(self) -> Formula:
         out = self.unary()
-        while self.at_punct(","):
-            self.take()
+        while self.accept(","):
             out = And(out, self.unary())
         return out
 
     def unary(self) -> Formula:
-        if self.at_keyword("not"):
-            self.take()
+        if self.accept("not"):
             return Not(self.unary())
-        if self.at_punct("("):
-            self.take()
+        if self.accept("("):
             out = self.body()
             self.expect(")")
             return out
-        if self.at_keyword("true"):
-            self.take()
+        if self.accept("true"):
             return TRUE
-        if self.at_keyword("false"):
-            self.take()
+        if self.accept("false"):
             return FALSE
         return Lit(self.literal())
 
     def literal(self) -> Literal:
-        negated = False
-        if self.at_punct("-"):
-            self.take()
-            negated = True
+        negated = self.accept("-")
         return Literal(self.atom(), negated)
 
     def atom(self) -> Atom:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value in _KEYWORDS:
-            shown = tok.value if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected an atom, found {shown!r}", tok.line, tok.column)
-        self.take()
+        kind, name, offset = self.peek()
+        if kind != "ident" or name in _KEYWORDS:
+            raise self.fail(f"expected an atom, found {name!r}")
+        self.pos += 1
         args: list[Term] = []
-        if self.at_punct("("):
-            self.take()
+        if self.accept("("):
             args.append(self.term())
-            while self.at_punct(","):
-                self.take()
+            while self.accept(","):
                 args.append(self.term())
             self.expect(")")
-        self.record_arity(tok, len(args))
-        return Atom(tok.value, tuple(args))
+        self.record_arity(name, offset, len(args))
+        return Atom(name, tuple(args))
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.take()
-            return int(tok.value)
-        if tok.kind == "ident" and tok.value not in _KEYWORDS:
-            self.take()
-            return tok.value
-        shown = tok.value if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected a term, found {shown!r}", tok.line, tok.column)
+        kind, value, _ = self.peek()
+        if kind == "int":
+            self.pos += 1
+            return int(value)
+        if kind == "ident" and value not in _KEYWORDS:
+            self.pos += 1
+            return value
+        raise self.fail(f"expected a term, found {value!r}")
 
-    def record_arity(self, tok: _Token, arity: int) -> None:
-        seen = self.arities.setdefault(tok.value, arity)
-        if seen != arity and tok.value not in self.arity_warned:
-            self.arity_warned.add(tok.value)
+    def record_arity(self, name: str, offset: int, arity: int) -> None:
+        seen = self.arities.setdefault(name, arity)
+        if seen != arity and name not in self.arity_warned:
+            self.arity_warned.add(name)
+            line = _position(self.text, offset)[0]
             warnings.warn(
-                f"predicate {tok.value!r} used with arities {seen} and {arity} "
-                f"(line {tok.line})",
+                f"predicate {name!r} used with arities {seen} and {arity} (line {line})",
                 ArityWarning,
                 stacklevel=4,
             )
@@ -561,17 +512,15 @@ def parse_literals(text: str) -> frozenset[Literal]:
     (``{p, -q}``) parses back unchanged.
     """
     parser = _Parser(text)
-    braced = parser.at_punct("{")
-    if braced:
-        parser.take()
+    braced = parser.accept("{")
     lits: list[Literal] = []
-    if parser.peek().kind != "eof" and not parser.at_punct("}"):
+    if parser.peek()[0] != "eof" and not parser.at("}"):
         lits = parser.literal_list()
     if braced:
         parser.expect("}")
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.value!r} after literal list", tok.line, tok.column)
+    kind, value, _ = parser.peek()
+    if kind != "eof":
+        raise parser.fail(f"unexpected {value!r} after literal list")
     return frozenset(lits)
 
 

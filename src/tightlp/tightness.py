@@ -74,19 +74,19 @@ class Digraph:
         return self.find_cycle(key) is None
 
     def longest_path_depths(self, key: Callable = literal_key) -> dict:
-        """Longest incoming path length per vertex; requires acyclicity."""
-        preds = self._predecessors
-        depths: dict = {}
-
-        def depth(v) -> int:
-            got = depths.get(v)
-            if got is None:
-                got = 1 + max((depth(u) for u in preds[v]), default=-1)
-                depths[v] = got
-            return got
-
-        for v in sorted(self.vertices, key=key):
-            depth(v)
+        """Longest incoming path length per vertex, in key order; requires
+        acyclicity."""
+        depths = {v: 0 for v in sorted(self.vertices, key=key)}
+        waiting = {v: len(us) for v, us in self._predecessors.items()}
+        ready = [v for v in depths if not waiting[v]]
+        for v in ready:  # Kahn's order: every vertex after its predecessors
+            for w in self._adjacency[v]:
+                depths[w] = max(depths[w], depths[v] + 1)
+                waiting[w] -= 1
+                if not waiting[w]:
+                    ready.append(w)
+        if len(ready) != len(depths):
+            raise ValueError("longest path depths need an acyclic graph")
         return depths
 
 

@@ -52,6 +52,17 @@ class TestParse:
     def test_unknown_option_exits_one(self, capsys):
         assert run(["parse", "--bogus", "x"]) == 1
 
+    @pytest.mark.parametrize(
+        "text, column, char", [("é.", 1, "é"), ("p(²).", 3, "²"), ("p(٣).", 3, "٣")]
+    )
+    def test_non_ascii_is_a_parse_error(self, monkeypatch, capsys, text, column, char):
+        feed(monkeypatch, text)
+        assert run(["parse", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = "parse error: line 1, column %d: unexpected character %r\n" % (column, char)
+        assert captured.err == expected
+
 
 class TestComplete:
     def test_golden(self, program_file, capsys):
@@ -83,6 +94,19 @@ class TestTight:
     def test_inconsistent_set_rejected(self, program_file, capsys):
         assert run(["tight", program_file(DOUBLE_NEG), "--on", "p, -p"]) == 1
         assert "consistent" in capsys.readouterr().err
+
+    def test_long_chain_gets_its_levels(self, program_file, capsys):
+        # a(1) sorts first but sits at the far end of the chain
+        n = 3000
+        text = "".join("a(%d) :- a(%d), not c(%d).\n" % (i, i + 1, i) for i in range(1, n + 1))
+        path = program_file(text)
+        chain = ", ".join("a(%d)=%d" % (i, n + 1 - i) for i in range(1, n + 2))
+        zeros = ", ".join("c(%d)=0" % i for i in range(1, n + 1))
+        assert run(["tight", path]) == 0
+        assert capsys.readouterr().out == "absolutely tight\nlambda: %s, %s\n" % (chain, zeros)
+        on = ", ".join("a(%d)" % i for i in range(1, n + 2))
+        assert run(["tight", path, "--on", on]) == 0
+        assert capsys.readouterr().out == "tight on {%s}\nlambda: %s\n" % (on, chain)
 
 
 class TestSolve:
@@ -183,6 +207,23 @@ class TestDeepInputs:
         proc = subprocess.run(
             [sys.executable, "-m", "tightlp", command, "-"],
             input=wide_program(shape, 480),
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", ["parse", "complete"])
+    @pytest.mark.parametrize("shape", ["head", "or"])
+    def test_900_elements_fit_parse_and_complete(self, shape, command):
+        # through python -m their limits are 983-986 elements, so one more
+        # frame per nesting level in the renderer or the completion halves
+        # them and fails here
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tightlp", command, "-"],
+            input=wide_program(shape, 900),
             capture_output=True,
             text=True,
             env=env,

@@ -1,6 +1,9 @@
 """Parsing, rendering, literal classifiers and classical negation removal."""
 
+import hashlib
 import random
+import re
+import warnings
 
 import pytest
 
@@ -23,6 +26,7 @@ from tightlp import (
     enumerate_answer_sets_bruteforce,
     format_literal_set,
     is_normal,
+    literal_key,
     literal_set_key,
     merge_programs,
     parse_literals,
@@ -142,6 +146,12 @@ class TestParsing:
         with pytest.raises(ParseError, match="variables are not supported"):
             p("p(X).")
 
+    @pytest.mark.parametrize("text", ["é.", "p(²).", "p(٣)."])
+    def test_non_ascii_is_an_unexpected_character(self, text):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            p(text)
+        assert "identifiers start" not in str(info.value)
+
     def test_error_on_unterminated_rule(self):
         with pytest.raises(ParseError, match="end of input"):
             p("p :- not")
@@ -189,6 +199,74 @@ class TestRendering:
         for _ in range(60):
             prog = random_program(rng, classical=rng.random() < 0.5, depth=3)
             assert same_program(parse_program(render(prog)), prog)
+
+
+# Pieces that reach every token kind and every error the parser reports; a
+# piece may also be any single ASCII character.
+TEXT_PIECES = (
+    "p", "q", "r1", "aB_9", "not", "true", "false", "1", "42", "007",
+    ":-", ":", ".", ",", ";", "(", ")", "-", "{", "}",
+    "#universe", "#", "#nope", " ", "\t", "\n", "\r\n", "% c\n", "% end",
+    "X", "_", "a(1)", "b(2,c)", "c(x,3)",
+)
+
+
+def random_text(rng: random.Random, seed_text: str) -> str:
+    """A rendered program or set with a few random edits, or loose pieces."""
+    if rng.random() < 0.3:
+        return "".join(rng.choice(TEXT_PIECES) for _ in range(rng.randint(0, 12)))
+    text = seed_text
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randint(0, len(text))
+        piece = rng.choice(TEXT_PIECES) if rng.random() < 0.7 else chr(rng.randrange(128))
+        cut = rng.randint(0, 2)
+        text = text[:i] + piece + text[i + cut :]
+    return text
+
+
+def front_end_trace(parse, seed_texts, rng) -> str:
+    """What the parser makes of each text: the rendered result or the
+    exception, followed by any warning texts."""
+    lines = []
+    for seed_text in seed_texts:
+        text = random_text(rng, seed_text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                lines.append(parse(text))
+            except Exception as e:  # the digest pins the type and message
+                lines.append("%s: %s" % (type(e).__name__, e))
+        lines.extend("warning: %s" % w.message for w in caught)
+    return "\n".join(lines)
+
+
+class TestFrontEndDigest:
+    # Any drift in what the parser accepts, renders or reports on ASCII text
+    # changes these digests.
+    def test_parse_program_is_pinned(self):
+        rng = random.Random(6)
+        seeds = []
+        for _ in range(2000):
+            text = render(random_program(rng, classical=True, depth=3))
+            # give one occurrence of b arguments, so that arities can clash
+            seeds.append(re.sub(r"\bb\b", "b(1,x)", text, count=1) if rng.random() < 0.3 else text)
+        trace = front_end_trace(lambda t: render(parse_program(t)), seeds, rng)
+        assert hashlib.sha256(trace.encode()).hexdigest() == (
+            "5362ea8b49e007a3cd6efb2429cd007b99e76b04fe17eda9037e6993e31787d1"
+        )
+
+    def test_parse_literals_is_pinned(self):
+        rng = random.Random(7)
+        seeds = []
+        for _ in range(2000):
+            prog = random_program(rng, classical=True)
+            picked = [l for l in sorted(prog.universe, key=literal_key) if rng.random() < 0.6]
+            braced = rng.random() < 0.5
+            seeds.append(format_literal_set(picked) if braced else ", ".join(map(str, picked)))
+        trace = front_end_trace(lambda t: format_literal_set(parse_literals(t)), seeds, rng)
+        assert hashlib.sha256(trace.encode()).hexdigest() == (
+            "b9096b2694c30c55572344d5108235148da3741da9a6f9e92086245d20efb79c"
+        )
 
 
 class TestClassifiers:

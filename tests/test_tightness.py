@@ -46,6 +46,11 @@ class TestDigraph:
         )
         assert g.longest_path_depths(key=str) == {"a": 0, "b": 1, "c": 2, "d": 0}
 
+    def test_longest_path_depths_refuse_a_cycle(self):
+        g = Digraph(frozenset("abc"), frozenset({("a", "b"), ("b", "c"), ("c", "b")}))
+        with pytest.raises(ValueError, match="acyclic"):
+            g.longest_path_depths(key=str)
+
 
 class TestParentGraph:
     def test_edges_need_a_satisfied_body(self):
