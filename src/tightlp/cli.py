@@ -60,8 +60,10 @@ def _non_negative_int(text: str) -> int:
 
 
 def _read_program(path: str) -> Program:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_program(text)
+    if path == "-":
+        return parse_program(sys.stdin.read())
+    with open(path, encoding="utf-8") as fh:
+        return parse_program(fh.read())
 
 
 def _print_sets(sets) -> None:

@@ -56,8 +56,12 @@ class SolveReport:
 
 
 def clausify(comp: Completion) -> Cnf:
-    """Tseitin translation; every connective gets a definitional variable,
-    including each negation, so nested ``not not`` stays visible."""
+    """Tseitin translation with one definitional variable per connective
+    node, including each negation, so nested ``not not`` stays visible.
+
+    An n-ary And or Or is one gate: n binary clauses tie the variable to
+    each part, and one long clause ties the parts back to it.
+    """
     atoms = [a for a, _ in comp.entries]
     varmap = {a: i + 1 for i, a in enumerate(atoms)}
     clauses: list[tuple[int, ...]] = []
@@ -101,17 +105,16 @@ def clausify(comp: Completion) -> Cnf:
             emit((-out, -c))
             emit((out, c))
         elif isinstance(f, (And, Or)):
-            a = walk(f.left)
-            b = walk(f.right)
+            parts = [walk(part) for part in f.parts]
             out = fresh()
             if isinstance(f, And):
-                emit((-out, a))
-                emit((-out, b))
-                emit((out, -a, -b))
+                for p in parts:
+                    emit((-out, p))
+                emit((out, *[-p for p in parts]))
             else:
-                emit((out, -a))
-                emit((out, -b))
-                emit((-out, a, b))
+                for p in parts:
+                    emit((out, -p))
+                emit((-out, *parts))
         else:
             raise TypeError(f"cannot clausify {f!r}")
         cache[f] = out

@@ -40,23 +40,34 @@ def is_consistent(x: Iterable[Literal]) -> bool:
     return not any(complement(l) in xs for l in xs)
 
 
-def satisfies(x: frozenset[Literal], formula: Formula) -> bool:
+def satisfies(
+    x: frozenset[Literal], formula: Formula, naf: frozenset[Literal] | None = None
+) -> bool:
     """Truth of a formula in a consistent set of literals.
 
+    Each ``not F`` holds when naf does not satisfy F, read classically in
+    naf; naf defaults to x.  So ``satisfies(y, f, x)`` is the truth in y of
+    the reduct of f relative to x, without building the reduct.
     Consistency of x is a precondition and is not checked here.
     """
     if isinstance(formula, Lit):
         return formula.literal in x
+    if isinstance(formula, Not):
+        return not satisfies(x if naf is None else naf, formula.operand)
+    if isinstance(formula, And):
+        for part in formula.parts:
+            if not satisfies(x, part, naf):
+                return False
+        return True
+    if isinstance(formula, Or):
+        for part in formula.parts:
+            if satisfies(x, part, naf):
+                return True
+        return False
     if isinstance(formula, Top):
         return True
     if isinstance(formula, Bottom):
         return False
-    if isinstance(formula, Not):
-        return not satisfies(x, formula.operand)
-    if isinstance(formula, And):
-        return satisfies(x, formula.left) and satisfies(x, formula.right)
-    if isinstance(formula, Or):
-        return satisfies(x, formula.left) or satisfies(x, formula.right)
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -74,10 +85,8 @@ def reduct_formula(formula: Formula, x: frozenset[Literal]) -> Formula:
     """Replace every maximal ``not F`` with false if x satisfies F, else true."""
     if isinstance(formula, Not):
         return FALSE if satisfies(x, formula.operand) else TRUE
-    if isinstance(formula, And):
-        return And(reduct_formula(formula.left, x), reduct_formula(formula.right, x))
-    if isinstance(formula, Or):
-        return Or(reduct_formula(formula.left, x), reduct_formula(formula.right, x))
+    if isinstance(formula, (And, Or)):
+        return type(formula)(*[reduct_formula(part, x) for part in formula.parts])
     return formula
 
 
@@ -92,7 +101,9 @@ def _contains_naf(formula: Formula) -> bool:
     if isinstance(formula, Not):
         return True
     if isinstance(formula, (And, Or)):
-        return _contains_naf(formula.left) or _contains_naf(formula.right)
+        for part in formula.parts:
+            if _contains_naf(part):
+                return True
     return False
 
 
@@ -132,21 +143,6 @@ def is_answer_set(x: frozenset[Literal], program: Program) -> bool:
     return is_consistent(x) and _answer_set_check(frozenset(x), heads, constraints)
 
 
-def _reduct_sat(formula: Formula, y: frozenset[Literal], x: frozenset[Literal]) -> bool:
-    # satisfies(y, reduct_formula(formula, x)) without building the reduct
-    if isinstance(formula, Lit):
-        return formula.literal in y
-    if isinstance(formula, Not):
-        return not satisfies(x, formula.operand)
-    if isinstance(formula, And):
-        return _reduct_sat(formula.left, y, x) and _reduct_sat(formula.right, y, x)
-    if isinstance(formula, Or):
-        return _reduct_sat(formula.left, y, x) or _reduct_sat(formula.right, y, x)
-    if isinstance(formula, Top):
-        return True
-    return False
-
-
 def _answer_set_check(
     x: frozenset[Literal],
     heads: list[tuple[Literal, Formula]],
@@ -156,7 +152,7 @@ def _answer_set_check(
     # the iterate escapes x (the sequence is increasing, so the fixpoint would too)
     y: frozenset[Literal] = frozenset()
     while True:
-        ny = frozenset(h for h, b in heads if _reduct_sat(b, y, x))
+        ny = frozenset(h for h, b in heads if satisfies(y, b, x))
         if not ny <= x:
             return False
         if ny == y:
@@ -164,7 +160,7 @@ def _answer_set_check(
         y = ny
     if y != x:
         return False
-    return not any(_reduct_sat(b, y, x) for b in constraints)
+    return not any(satisfies(y, b, x) for b in constraints)
 
 
 def enumerate_answer_sets_bruteforce(

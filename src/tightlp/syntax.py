@@ -105,13 +105,6 @@ class Formula:
 class Lit(Formula):
     literal: Literal
 
-    # The recursive walkers reach the literals at their deepest stack level,
-    # and clausify hashes every subformula it meets, so hashing (and
-    # rendering) a Lit skips the Literal method.  A literal and its
-    # complement share a hash; == tells them apart.
-    def __hash__(self) -> int:
-        return hash(self.literal.atom)
-
 
 @dataclass(frozen=True)
 class Top(Formula):
@@ -132,32 +125,42 @@ class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+@dataclass(frozen=True, init=False)
+class _Junction(Formula):
+    """An n-ary connective over two or more parts.  A first part with the
+    same connective is spliced in, so ``(a, b), c`` is ``a, b, c``, as the
+    left-associating parser reads it; a later one stays nested."""
+
+    parts: tuple[Formula, ...]
+
+    def __init__(self, *parts: Formula):
+        if len(parts) < 2:
+            raise TypeError(f"{type(self).__name__} needs at least two parts")
+        if type(parts[0]) is type(self):
+            parts = parts[0].parts + parts[1:]
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Junction):
+    pass
+
+
+class Or(_Junction):
+    pass
 
 
 def conj_of(parts: Iterable[Formula]) -> Formula:
-    """Left-associated conjunction; TRUE when empty."""
-    out: Formula | None = None
-    for p in parts:
-        out = p if out is None else And(out, p)
-    return TRUE if out is None else out
+    """Conjunction of the parts; the part itself when there is one, TRUE
+    when there are none."""
+    parts = tuple(parts)
+    return And(*parts) if len(parts) > 1 else parts[0] if parts else TRUE
 
 
 def disj_of(parts: Iterable[Formula]) -> Formula:
-    """Left-associated disjunction; FALSE when empty."""
-    out: Formula | None = None
-    for p in parts:
-        out = p if out is None else Or(out, p)
-    return FALSE if out is None else out
+    """Disjunction of the parts; the part itself when there is one, FALSE
+    when there are none."""
+    parts = tuple(parts)
+    return Or(*parts) if len(parts) > 1 else parts[0] if parts else FALSE
 
 
 def regular_literals(formula: Formula) -> frozenset[Literal]:
@@ -175,8 +178,7 @@ def regular_literals(formula: Formula) -> frozenset[Literal]:
         elif isinstance(f, Not):
             stack.append(f.operand)
         elif isinstance(f, (And, Or)):
-            stack.append(f.left)
-            stack.append(f.right)
+            stack.extend(f.parts)
     return frozenset(out)
 
 
@@ -189,8 +191,7 @@ def positive_literals(formula: Formula) -> frozenset[Literal]:
         if isinstance(f, Lit):
             out.add(f.literal)
         elif isinstance(f, (And, Or)):
-            stack.append(f.left)
-            stack.append(f.right)
+            stack.extend(f.parts)
     return frozenset(out)
 
 
@@ -262,8 +263,9 @@ COMPLETION_STYLE = ("-", (Lit, Top, Bottom), {And: (" & ", 1), Or: (" | ", 1)})
 
 
 def render_formula(f: Formula, style: tuple = RULE_STYLE) -> str:
-    """Text of a formula; a binary operand is parenthesized unless it binds
-    tighter than its parent, or is the left operand of the same connective."""
+    """Text of a formula; a part of And or Or is parenthesized unless it binds
+    tighter than its parent (only a later part can have the same connective,
+    so ``a, (b, c)`` keeps its parentheses)."""
     if isinstance(f, Lit):
         return ("-%s" if f.literal.negated else "%s") % f.literal.atom
     if isinstance(f, Top):
@@ -277,15 +279,12 @@ def render_formula(f: Formula, style: tuple = RULE_STYLE) -> str:
     if type(f) not in infix:
         raise TypeError(f"not a formula: {f!r}")
     op, strength = infix[type(f)]
-    left = render_formula(f.left, style)
-    right = render_formula(f.right, style)
-    inner = infix.get(type(f.left))
-    if inner and inner[1] <= strength and type(f.left) is not type(f):
-        left = "(%s)" % left
-    inner = infix.get(type(f.right))
-    if inner and inner[1] <= strength:
-        right = "(%s)" % right
-    return left + op + right
+    texts = []
+    for part in f.parts:
+        text = render_formula(part, style)
+        inner = infix.get(type(part))
+        texts.append("(%s)" % text if inner and inner[1] <= strength else text)
+    return op.join(texts)
 
 
 def render_rule(r: Rule) -> str:
@@ -437,16 +436,16 @@ class _Parser:
         return Rule(head, body)
 
     def body(self) -> Formula:
-        out = self.conjunction()
+        parts = [self.conjunction()]
         while self.accept(";"):
-            out = Or(out, self.conjunction())
-        return out
+            parts.append(self.conjunction())
+        return Or(*parts) if len(parts) > 1 else parts[0]
 
     def conjunction(self) -> Formula:
-        out = self.unary()
+        parts = [self.unary()]
         while self.accept(","):
-            out = And(out, self.unary())
-        return out
+            parts.append(self.unary())
+        return And(*parts) if len(parts) > 1 else parts[0]
 
     def unary(self) -> Formula:
         if self.accept("not"):
@@ -537,10 +536,8 @@ def _map_formula(f: Formula, table: dict[Literal, Literal]) -> Formula:
         return Lit(table.get(f.literal, f.literal))
     if isinstance(f, Not):
         return Not(_map_formula(f.operand, table))
-    if isinstance(f, And):
-        return And(_map_formula(f.left, table), _map_formula(f.right, table))
-    if isinstance(f, Or):
-        return Or(_map_formula(f.left, table), _map_formula(f.right, table))
+    if isinstance(f, (And, Or)):
+        return type(f)(*[_map_formula(part, table) for part in f.parts])
     return f
 
 

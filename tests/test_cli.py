@@ -30,6 +30,15 @@ def feed(monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
 
 
+def run_module(args, input=None, **env):
+    """Run a fresh interpreter on the package sources, as the CLI runs."""
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], input=input, capture_output=True, text=True, env=env
+    )
+
+
 class TestParse:
     def test_canonical_echo(self, program_file, capsys):
         assert run(["parse", program_file("p :- q,r.  % c\n")]) == 0
@@ -51,6 +60,21 @@ class TestParse:
 
     def test_unknown_option_exits_one(self, capsys):
         assert run(["parse", "--bogus", "x"]) == 1
+
+    def test_program_file_is_closed(self, program_file):
+        # development mode reports a file left for the collector to close
+        proc = run_module(["-X", "dev", "-m", "tightlp", "parse", program_file("p :- q.\n")])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p :- q.\n", "")
+
+    def test_program_file_is_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "prog.lp"
+        path.write_text("p. % café\n", encoding="utf-8")
+        proc = run_module(
+            ["-X", "utf8=0", "-m", "tightlp", "parse", str(path)],
+            PYTHONCOERCECLOCALE="0",
+            LC_ALL="C",
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p.\n", "")
 
     @pytest.mark.parametrize(
         "text, column, char", [("é.", 1, "é"), ("p(²).", 3, "²"), ("p(٣).", 3, "٣")]
@@ -183,15 +207,19 @@ class TestDimacs:
 
 
 def wide_program(shape, n):
-    """One head with n rules, or one body that is an n-way disjunction."""
+    """One head with n rules, or one body that is an n-way disjunction
+    (``or``) or an n-way conjunction of negations (``andnot``)."""
     if shape == "head":
         return "".join("h :- a(%d), not b(%d).\n" % (i, i) for i in range(1, n + 1))
+    if shape == "andnot":
+        return "h :- %s.\n" % ", ".join("not b(%d)" % i for i in range(1, n + 1))
     return "h :- %s.\n" % "; ".join("a(%d)" % i for i in range(1, n + 1))
 
 
 class TestDeepInputs:
     def test_recursion_limit_is_a_resource_cap(self, program_file, capsys):
-        assert run(["solve", program_file(wide_program("or", 3000))]) == 2
+        # a list of any length is one node, so only nesting runs deep
+        assert run(["solve", program_file("h :- %sa.\n" % ("not " * 3000))]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("resource cap exceeded: ")
@@ -229,6 +257,31 @@ class TestDeepInputs:
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", ["parse", "complete", "tight", "solve", "dimacs"])
+    @pytest.mark.parametrize("shape", ["head", "or", "andnot"])
+    def test_2000_elements_fit_every_command(self, shape, command):
+        # a list is one node whatever its length, so no walker nests per element
+        proc = run_module(["-m", "tightlp", command, "-"], wide_program(shape, 2000))
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, depth",
+        [("parse", 900), ("complete", 900), ("tight", 900), ("solve", 450), ("dimacs", 450)],
+    )
+    def test_nested_not_fits_the_default_stack(self, command, depth):
+        # through python -m the limits are 980 nested nots, and 491 in solve
+        # and dimacs, where clausify hashes each subformula recursively; one
+        # more frame per nesting level in the parser or the renderer fails here
+        proc = run_module(["-m", "tightlp", command, "-"], "h :- %sa.\n" % ("not " * depth))
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "dimacs"])
+    def test_20000_way_disjunction_solves(self, command):
+        proc = run_module(["-m", "tightlp", command, "-"], wide_program("or", 20000))
+        assert proc.returncode == 0, proc.stderr
+        if command == "solve":
+            assert proc.stdout == "{}\n"
 
 
 class TestGenerators:

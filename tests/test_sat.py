@@ -73,6 +73,32 @@ class TestClausify:
             "2 -3 0\n"
         )
 
+    def test_nary_disjunction_is_one_gate(self):
+        cnf = clausify(completion(parse_program("h :- a ; b ; c.")))
+        # var 5 is the constant true that a, b and c are equivalent to
+        # false through; var 6 is the one or-node: three binary clauses
+        # and one long clause, where a binary chain took two nodes
+        assert to_dimacs(cnf) == (
+            "c var 1 = a\n"
+            "c var 2 = b\n"
+            "c var 3 = c\n"
+            "c var 4 = h\n"
+            "p cnf 6 13\n"
+            "5 0\n"
+            "-1 -5 0\n"
+            "1 5 0\n"
+            "-2 -5 0\n"
+            "2 5 0\n"
+            "-3 -5 0\n"
+            "3 5 0\n"
+            "6 -1 0\n"
+            "6 -2 0\n"
+            "6 -3 0\n"
+            "-6 1 2 3 0\n"
+            "-4 6 0\n"
+            "4 -6 0\n"
+        )
+
 
 class TestSolveAll:
     def test_exclusive_or(self):

@@ -98,6 +98,23 @@ class TestParsing:
         assert body("a, b, c") == And(And(a, b), c)
         assert body("a; b; c") == Or(Or(a, b), c)
 
+    def test_a_list_is_one_node(self):
+        a, b, c = (Lit(Literal(Atom(n))) for n in "abc")
+        assert And(And(a, b), c) == And(a, b, c)
+        assert And(And(a, b), c).parts == (a, b, c)
+        assert body("a; b; c").parts == (a, b, c)
+        assert body("(a, b), c") == And(a, b, c)
+        with pytest.raises(TypeError):
+            Or(a)
+
+    def test_a_later_part_stays_nested(self):
+        a, b, c = (Lit(Literal(Atom(n))) for n in "abc")
+        right = And(a, And(b, c))
+        assert right.parts == (a, And(b, c))
+        assert right != And(a, b, c)
+        assert str(right) == "a, (b, c)"
+        assert body("a, (b, c)") == right
+
     def test_classical_negation_in_head_and_body(self):
         prog = p("-q :- not p.")
         (rule,) = prog.rules
