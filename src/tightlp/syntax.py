@@ -12,7 +12,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Union
 
 Term = Union[str, int]
@@ -39,8 +39,7 @@ class Atom:
     args: tuple[Term, ...] = ()
 
     def __post_init__(self):
-        m = _TOKEN_RE.fullmatch(self.predicate)
-        if m is None or m.lastgroup != "ident" or self.predicate in _KEYWORDS:
+        if not _is_predicate_name(self.predicate):
             raise ValueError(f"invalid predicate name: {self.predicate!r}")
         object.__setattr__(self, "args", tuple(self.args))
 
@@ -124,6 +123,14 @@ FALSE = Bottom()
 class Not(Formula):
     operand: Formula
 
+    # The hash is the generated one, computed once, so that hashing a deeply
+    # nested formula (clausify's cache does) never recurses.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.operand,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 @dataclass(frozen=True, init=False)
 class _Junction(Formula):
@@ -139,6 +146,10 @@ class _Junction(Formula):
         if type(parts[0]) is type(self):
             parts = parts[0].parts + parts[1:]
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_hash", hash((parts,)))  # as Not's
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class And(_Junction):
@@ -307,14 +318,24 @@ def render(program: Program) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-# One alternative per token kind, tried at a position so the text is never
-# sliced; ASCII only, so a letter or digit outside ASCII is an unexpected
-# character.
+# Whitespace, then one alternative per token kind, or the end of the input;
+# tried at a position so the text is never sliced.  ASCII only, so a letter
+# or digit outside ASCII is an unexpected character.  An ``atom`` token is a
+# whole ground atom without spaces, whose name and terms are identifiers other
+# than keywords, or integers; any other shape of atom is read token by token.
+_TERM = r"(?!(?:not|true|false)[,)])(?:[a-z][A-Za-z0-9_]*|[0-9]+)"
 _TOKEN_RE = re.compile(
-    r"(?P<space>[ \t\r\n]+)|(?P<comment>%[^\n]*)|(?P<ident>[a-z][A-Za-z0-9_]*)"
-    r"|(?P<int>[0-9]+)|(?P<punct>:-|[.,;()\-{}])|(?P<decl>#[a-z]*)"
+    r"[ \t\r\n]*(?:(?P<comment>%[^\n]*)"
+    rf"|(?P<atom>(?!(?:not|true|false)\()[a-z][A-Za-z0-9_]*\({_TERM}(?:,{_TERM})*\))"
+    r"|(?P<ident>[a-z][A-Za-z0-9_]*)"
+    r"|(?P<int>[0-9]+)|(?P<punct>:-|[.,;()\-{}])|(?P<decl>#[a-z]*)|\Z)"
 )
-_SKIPPED = frozenset({"space", "comment"})
+
+
+@lru_cache(maxsize=1024)
+def _is_predicate_name(name: str) -> bool:
+    m = _TOKEN_RE.fullmatch(name)
+    return m is not None and m["ident"] == name and name not in _KEYWORDS
 
 
 def _position(text: str, pos: int) -> tuple[int, int]:
@@ -322,15 +343,19 @@ def _position(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple]:
     """``(kind, text, offset)`` tokens, closed by an ``eof`` token whose text
-    is what error messages show for it."""
+    is what error messages show for it.  The text of an ``atom`` token is the
+    predicate name, as for an identifier, and the whole atom's text follows
+    the offset."""
     tokens = []
     pos, n = 0, len(text)
-    m = kind = None
+    m = None
     while pos < n:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
+            while text[pos] in " \t\r\n":
+                pos += 1
             c = text[pos]
             if c == ":":
                 message = "expected ':-'"
@@ -343,13 +368,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 message = f"unexpected character {c!r}"
             raise ParseError(message, *_position(text, pos))
         kind = m.lastgroup
-        if kind not in _SKIPPED:
-            if kind == "decl" and m.group() != "#universe":
-                raise ParseError(f"unknown declaration {m.group()!r}", *_position(text, pos))
-            tokens.append((kind, m.group(), pos))
         pos = m.end()
+        if kind == "atom":
+            whole = m[kind]
+            tokens.append((kind, whole[: whole.index("(")], pos - len(whole), whole))
+        elif kind is not None and kind != "comment":
+            value = m[kind]
+            if kind == "decl" and value != "#universe":
+                raise ParseError(f"unknown declaration {value!r}", *_position(text, pos - len(value)))
+            tokens.append((kind, value, pos - len(value)))
     # input that ends in a comment ends where the comment starts
-    tokens.append(("eof", "end of input", m.start() if kind == "comment" else n))
+    ends_in_comment = m is not None and m.lastgroup == "comment"
+    tokens.append(("eof", "end of input", m.start("comment") if ends_in_comment else n))
     return tokens
 
 
@@ -360,8 +390,15 @@ class _Parser:
         self.pos = 0
         self.arities: dict[str, int] = {}
         self.arity_warned: set[str] = set()
+        # The one Atom, Literal and Lit of each value in this parse, so that
+        # equal ones are built once and later set lookups meet the same
+        # object.  Atoms are found by value or by an atom token's text, the
+        # others by the id of their part, which lives as long as the parse.
+        self.atoms: dict = {}
+        self.literals: dict[tuple[bool, int], Literal] = {}
+        self.lits: dict[int, Lit] = {}
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
     def at(self, value: str) -> bool:
@@ -409,7 +446,7 @@ class _Parser:
         self.expect("{")
         if self.at("-"):
             raise self.fail("classical negation is not allowed inside a choice")
-        atom = self.atom()
+        lit = self.lit(self.literal())
         if self.at(",") or self.at(";"):
             raise self.fail(
                 "only a single atom is allowed inside a choice "
@@ -419,8 +456,7 @@ class _Parser:
         if self.at(":-"):
             raise self.fail("a choice rule cannot have a body")
         self.expect(".")
-        lit = Literal(atom)
-        return Rule(lit, Not(Not(Lit(lit))))
+        return Rule(lit.literal, Not(Not(lit)))
 
     def rule(self) -> Rule:
         if self.accept(":-"):
@@ -458,14 +494,36 @@ class _Parser:
             return TRUE
         if self.accept("false"):
             return FALSE
-        return Lit(self.literal())
+        return self.lit(self.literal())
+
+    def lit(self, literal: Literal) -> Lit:
+        lit = self.lits.get(id(literal))
+        if lit is None:
+            lit = self.lits[id(literal)] = Lit(literal)
+        return lit
 
     def literal(self) -> Literal:
         negated = self.accept("-")
-        return Literal(self.atom(), negated)
+        atom = self.atom()
+        literal = self.literals.get((negated, id(atom)))
+        if literal is None:
+            literal = self.literals[negated, id(atom)] = Literal(atom, negated)
+        return literal
 
     def atom(self) -> Atom:
-        kind, name, offset = self.peek()
+        token = self.peek()
+        if token[0] == "atom":
+            self.pos += 1
+            atom = self.atoms.get(token[3])
+            if atom is None:
+                name, offset, whole = token[1:]
+                terms = whole[len(name) + 1 : -1].split(",")
+                args = tuple(int(t) if t < "a" else t for t in terms)
+                self.record_arity(name, offset, len(args))
+                atom = Atom(name, args)
+                atom = self.atoms[whole] = self.atoms.setdefault(atom, atom)
+            return atom
+        kind, name, offset = token
         if kind != "ident" or name in _KEYWORDS:
             raise self.fail(f"expected an atom, found {name!r}")
         self.pos += 1
@@ -476,10 +534,16 @@ class _Parser:
                 args.append(self.term())
             self.expect(")")
         self.record_arity(name, offset, len(args))
-        return Atom(name, tuple(args))
+        atom = Atom(name, tuple(args))
+        return self.atoms.setdefault(atom, atom)
 
     def term(self) -> Term:
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()[:3]
+        if kind == "atom":
+            # Terms take no arguments, so the atom's own '(' is where reading
+            # token by token fails: make that the next token.
+            self.tokens[self.pos] = ("punct", "(", offset + len(value))
+            return value
         if kind == "int":
             self.pos += 1
             return int(value)
@@ -517,7 +581,7 @@ def parse_literals(text: str) -> frozenset[Literal]:
         lits = parser.literal_list()
     if braced:
         parser.expect("}")
-    kind, value, _ = parser.peek()
+    kind, value = parser.peek()[:2]
     if kind != "eof":
         raise parser.fail(f"unexpected {value!r} after literal list")
     return frozenset(lits)

@@ -89,6 +89,21 @@ class Digraph:
             raise ValueError("longest path depths need an acyclic graph")
         return depths
 
+    def ancestors(self, vertex) -> frozenset:
+        """Vertices with a path of one or more edges to the given one."""
+        preds = self._predecessors
+        if vertex not in preds:
+            return frozenset()
+        out = set()
+        frontier = [vertex]
+        while frontier:
+            node = frontier.pop()
+            for p in preds[node]:
+                if p not in out:
+                    out.add(p)
+                    frontier.append(p)
+        return frozenset(out)
+
 
 def parent_graph(program: Program, x: Iterable[Literal]) -> Digraph:
     """L' -> L edges for rules with head L in x and body satisfied by x,
@@ -160,16 +175,4 @@ def lambda_witness(program: Program, x: Iterable[Literal]) -> dict[Literal, int]
 
 def ancestors(literal: Literal, program: Program, x: Iterable[Literal]) -> frozenset[Literal]:
     """Literals reachable from the given one by one or more parent steps."""
-    graph = parent_graph(program, x)
-    if literal not in graph.vertices:
-        return frozenset()
-    preds = graph._predecessors
-    out: set[Literal] = set()
-    frontier = [literal]
-    while frontier:
-        node = frontier.pop()
-        for p in preds[node]:
-            if p not in out:
-                out.add(p)
-                frontier.append(p)
-    return frozenset(out)
+    return parent_graph(program, x).ancestors(literal)

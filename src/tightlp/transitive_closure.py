@@ -18,7 +18,7 @@ from .syntax import (
     term_key,
 )
 from .semantics import is_closed, is_consistent
-from .tightness import Digraph, ancestors, is_tight_on
+from .tightness import Digraph, is_tight_on, parent_graph
 
 Pair = tuple[Term, Term]
 
@@ -154,12 +154,14 @@ def check_tightness_preservation(
                 f"program must not define {spec.tc_name!r}: "
                 f"rule with head {r.head} found"
             )
-    cond_i = is_tight_on(program, xs)
-    cond_ii = is_wellfounded({(a, b) for (b, a) in p_extent(xs, spec)})
+    graph = parent_graph(program, xs)
+    pairs = p_extent(xs, spec)
+    cond_i = graph.find_cycle() is None
+    cond_ii = is_wellfounded({(a, b) for (b, a) in pairs})
     cond_iii = True
     tc_lits = {Literal(a) for a in tc_atoms}
-    for a, b in p_extent(xs, spec):
-        if ancestors(Literal(spec.p_atom(a, b)), program, xs) & tc_lits:
+    for a, b in pairs:
+        if graph.ancestors(Literal(spec.p_atom(a, b))) & tc_lits:
             cond_iii = False
             break
     report = TightnessPreservationReport(cond_i, cond_ii, cond_iii)

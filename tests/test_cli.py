@@ -267,12 +267,13 @@ class TestDeepInputs:
 
     @pytest.mark.parametrize(
         "command, depth",
-        [("parse", 900), ("complete", 900), ("tight", 900), ("solve", 450), ("dimacs", 450)],
+        [("parse", 900), ("complete", 900), ("tight", 900), ("solve", 900), ("dimacs", 900)],
     )
     def test_nested_not_fits_the_default_stack(self, command, depth):
-        # through python -m the limits are 980 nested nots, and 491 in solve
-        # and dimacs, where clausify hashes each subformula recursively; one
-        # more frame per nesting level in the parser or the renderer fails here
+        # through python -m every command reaches 977 nested nots (a formula
+        # keeps its hash, so clausify's cache does not recurse); one more
+        # frame per nesting level in the parser, the renderer or clausify's
+        # walk fails here
         proc = run_module(["-m", "tightlp", command, "-"], "h :- %sa.\n" % ("not " * depth))
         assert proc.returncode == 0, proc.stderr
 

@@ -14,14 +14,19 @@ from tightlp import (
     And,
     ArityWarning,
     Atom,
+    BlocksSpec,
+    DefSpec,
     Lit,
     Literal,
     Not,
     Or,
     ParseError,
     Program,
+    QueensSpec,
     Rule,
+    blocksworld_program,
     complement,
+    def_rules,
     eliminate_classical_negation,
     enumerate_answer_sets_bruteforce,
     format_literal_set,
@@ -32,6 +37,7 @@ from tightlp import (
     parse_literals,
     parse_program,
     positive_literals,
+    queens_program,
     regular_literals,
     render,
     render_rule,
@@ -51,10 +57,11 @@ class TestAtomsAndLiterals:
         assert str(Atom("on", ("b1", "table", 0))) == "on(b1,table,0)"
         assert str(Atom("p")) == "p"
 
-    @pytest.mark.parametrize("name", ["P", "1p", "not", "_x", ""])
+    @pytest.mark.parametrize("name", ["P", "1p", "not", "_x", "", "Bad", "p q", " p", "p(1)"])
     def test_bad_predicate_rejected(self, name):
-        with pytest.raises(ValueError):
-            Atom(name)
+        for _ in range(2):  # names are checked once each, but refused every time
+            with pytest.raises(ValueError):
+                Atom(name)
 
     def test_literal_sign(self):
         lit = Literal(Atom("q"), True)
@@ -185,6 +192,89 @@ class TestParsing:
         assert parse_literals("") == frozenset()
         with pytest.raises(ParseError):
             parse_literals("p q")
+
+
+def lits_of(prog: Program) -> list[Lit]:
+    """Every ``Lit`` occurrence in the rule bodies."""
+    out = []
+    stack = [r.body for r in prog.rules]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Lit):
+            out.append(f)
+        stack.extend([f.operand] if isinstance(f, Not) else getattr(f, "parts", ()))
+    return out
+
+
+class TestAtomTokens:
+    """A ground atom without spaces is read as one token; any other shape is
+    read token by token, with the same result and the same errors."""
+
+    def test_same_program_as_token_by_token(self):
+        rng = random.Random(8)
+        args = {"a": "(1,x)", "b": "(007)", "c": "(y,2,zZ_9)", "d": "(nothing,trues)"}
+        for _ in range(300):
+            text = render(random_program(rng, n_atoms=5, classical=True, depth=3))
+            text = re.sub(r"\b[a-d]\b", lambda m: m.group() + args[m.group()], text)
+            spaced = text.replace("(", "( ").replace(",", ", ")
+            assert parse_program(text) == parse_program(spaced), text
+
+    def test_generated_programs_read_back(self):
+        prog = merge_programs(
+            queens_program(QueensSpec(4)),
+            blocksworld_program(BlocksSpec(("b1", "b2"), 1)),
+            def_rules(DefSpec((1, 2))),
+        )
+        text = render(prog)
+        assert parse_program(text) == prog
+        assert parse_program(text.replace("(", "( ")) == prog
+
+    def test_equal_atoms_and_literals_are_one_object(self):
+        prog = p(
+            "#universe p(1,2), -q(1).\n"
+            "q(1) :- p(1,2), p( 1, 2 ), not p(01,2), -q(1); r.\n"
+            "-q(1) :- not not r, p(1,2).\n{p(1,2)}.\nr :- -q(1), r."
+        )
+        lits = lits_of(prog)
+        literals = [*prog.declared, *(r.head for r in prog.rules if r.head), *(l.literal for l in lits)]
+        for objects in (lits, literals, [l.atom for l in literals]):
+            for x in objects:
+                assert all(x is y for y in objects if x == y), x
+        x = parse_literals("p(1,2), -q(1), p(1, 2), p(1,2), -q(1)")
+        assert len(x) == 2
+        assert len({id(l.atom) for l in x}) == 2
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("p(a(b)).", "line 1, column 4: expected ')', found '('"),
+            ("p(1,a(b)).", "line 1, column 6: expected ')', found '('"),
+            ("p( a(b)).", "line 1, column 5: expected ')', found '('"),
+            ("p(not).", "line 1, column 3: expected a term, found 'not'"),
+            ("not(1).", "line 1, column 1: expected an atom, found 'not'"),
+            ("true(1).", "line 1, column 1: expected an atom, found 'true'"),
+            ("p(1)(2).", "line 1, column 5: expected ':-', found '('"),
+            ("p(1)q(2).", "line 1, column 5: expected ':-', found 'q'"),
+            ("p(-1).", "line 1, column 3: expected a term, found '-'"),
+            ("q :- p(1,true).", "line 1, column 10: expected a term, found 'true'"),
+            ("p(1,).", "line 1, column 5: expected a term, found ')'"),
+            ("p(1,2", "line 1, column 6: expected ')', found 'end of input'"),
+            ("p( 1 ,2 ).", "p(1,2)."),
+            ("p(007,x) :- not q(1,2).", "p(7,x) :- not q(1,2)."),
+        ],
+    )
+    def test_results_are_pinned(self, text, expected):
+        try:
+            got = render(parse_program(text))
+        except ParseError as e:
+            got = str(e)
+        assert got == expected
+
+    def test_literal_list_errors_are_pinned(self):
+        with pytest.raises(ParseError, match="^line 1, column 5: expected '\\)', found '\\('$"):
+            parse_literals("{p(a(b))}")
+        with pytest.raises(ParseError, match="^line 1, column 12: unexpected 'r' after literal list$"):
+            parse_literals("p(1), q(2) r(3)")
 
 
 class TestRendering:
