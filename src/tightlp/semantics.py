@@ -18,14 +18,11 @@ from .syntax import (
     Program,
     Rule,
     Top,
-    atom_key,
     complement,
     literal_key,
     literal_set_key,
+    positive_literals,
 )
-
-LiteralSet = frozenset
-
 
 class CapacityError(RuntimeError):
     """A configurable resource cap was exceeded."""
@@ -40,28 +37,22 @@ def is_consistent(x: Iterable[Literal]) -> bool:
     return not any(complement(l) in xs for l in xs)
 
 
-def satisfies(
-    x: frozenset[Literal], formula: Formula, naf: frozenset[Literal] | None = None
-) -> bool:
-    """Truth of a formula in a consistent set of literals.
-
-    Each ``not F`` holds when naf does not satisfy F, read classically in
-    naf; naf defaults to x.  So ``satisfies(y, f, x)`` is the truth in y of
-    the reduct of f relative to x, without building the reduct.
-    Consistency of x is a precondition and is not checked here.
+def satisfies(x: frozenset[Literal], formula: Formula) -> bool:
+    """Truth of a formula in a consistent set of literals, with ``not`` read
+    classically.  Consistency of x is a precondition and is not checked here.
     """
     if isinstance(formula, Lit):
         return formula.literal in x
     if isinstance(formula, Not):
-        return not satisfies(x if naf is None else naf, formula.operand)
+        return not satisfies(x, formula.operand)
     if isinstance(formula, And):
         for part in formula.parts:
-            if not satisfies(x, part, naf):
+            if not satisfies(x, part):
                 return False
         return True
     if isinstance(formula, Or):
         for part in formula.parts:
-            if satisfies(x, part, naf):
+            if satisfies(x, part):
                 return True
         return False
     if isinstance(formula, Top):
@@ -131,36 +122,91 @@ def minimal_closed_set(program: Program) -> frozenset[Literal] | None:
     return cur
 
 
-def is_answer_set(x: frozenset[Literal], program: Program) -> bool:
-    """x is the minimal consistent closed set of the reduct relative to x.
+class AnswerSetChecker:
+    """A program compiled once, for deciding many sets of its literals.
 
-    Equal to ``minimal_closed_set(reduct(program, x)) == x``, decided by the
-    fixpoint that brute force uses, without building the reduct.
+    Literals become ints in literal_key order, and id n is the head of
+    every constraint.  Rule bodies become one and/or DAG over the ids, and
+    each ``not F`` is a leaf read classically in the set.  A node's ``need``
+    counts the parts still to fire (Dowling & Gallier): all of an And, one
+    of an Or, a head's first rule.
     """
-    heads = [(r.head, r.body) for r in program.rules if r.head is not None]
-    constraints = [r.body for r in program.rules if r.head is None]
-    # the fixpoint check alone would accept an inconsistent x such as {p, -p}
-    return is_consistent(x) and _answer_set_check(frozenset(x), heads, constraints)
+
+    def __init__(self, program: Program):
+        self.literals = sorted(program.universe, key=literal_key)
+        self.ids = {l: i for i, l in enumerate(self.literals)}
+        n = self.sink = len(self.literals)
+        self.need = [1] * (n + 1)
+        self.up: list[list[int]] = [[] for _ in self.need]  # junctions and rule heads
+        self.rules_by_head: list[list[tuple]] = [[] for _ in self.need]
+        self.leaves: list[tuple] = []  # (node, F) for ``not F``, (node, None) for true
+        nodes: dict[Formula, int] = {}
+
+        def node(f: Formula) -> int:
+            if isinstance(f, Lit):
+                return self.ids[f.literal]
+            if f not in nodes:
+                parts = [node(p) for p in f.parts] if isinstance(f, (And, Or)) else ()
+                v = nodes[f] = len(self.need)
+                self.need.append(len(parts) if isinstance(f, And) else 1)
+                self.up.append([])
+                for p in parts:
+                    self.up[p].append(v)
+                if isinstance(f, (Not, Top)):
+                    self.leaves.append((v, f.operand if isinstance(f, Not) else None))
+            return nodes[f]
+
+        for r in program.rules:
+            head = n if r.head is None else self.ids[r.head]
+            self.up[node(r.body)].append(head)
+            pos = [self.ids[l] for l in positive_literals(r.body)]
+            self.rules_by_head[head].append((r.body, pos))
+
+    def is_reduct_fixpoint(self, x: frozenset[Literal]) -> bool:
+        """x is the least fixpoint of the reduct relative to x, and fires no
+        constraint: for a consistent x, x is an answer set.  Stops once a
+        derived head falls outside x."""
+        xs = {self.ids[l] for l in x}
+        need = self.need[:]
+        stack = [v for v, f in self.leaves if f is None or not satisfies(x, f)]
+        while stack:
+            for p in self.up[stack.pop()]:
+                if p <= self.sink and p not in xs:  # a head outside x, or a constraint
+                    return False
+                need[p] -= 1
+                if not need[p]:
+                    stack.append(p)
+        return all(need[i] <= 0 for i in xs)
+
+    def is_tight_on(self, x: frozenset[Literal]) -> bool:
+        """No cycle in the parent relation relative to x, by Kahn's algorithm
+        on the edges of the rules with head in x and body true in x."""
+        xs = {self.ids[l] for l in x}
+        succ: dict[int, list[int]] = {}
+        waiting = dict.fromkeys(xs, 0)
+        for h in xs:
+            for body, pos in self.rules_by_head[h]:
+                parents = xs.intersection(pos)
+                if parents and satisfies(x, body):
+                    for l in parents:
+                        succ.setdefault(l, []).append(h)
+                        waiting[h] += 1
+        ready = [v for v in xs if not waiting[v]]
+        for v in ready:
+            for w in succ.get(v, ()):
+                waiting[w] -= 1
+                if not waiting[w]:
+                    ready.append(w)
+        return len(ready) == len(xs)
 
 
-def _answer_set_check(
-    x: frozenset[Literal],
-    heads: list[tuple[Literal, Formula]],
-    constraints: list[Formula],
-) -> bool:
-    # fixpoint of the reduct relative to a consistent x, with early exit once
-    # the iterate escapes x (the sequence is increasing, so the fixpoint would too)
-    y: frozenset[Literal] = frozenset()
-    while True:
-        ny = frozenset(h for h, b in heads if satisfies(y, b, x))
-        if not ny <= x:
-            return False
-        if ny == y:
-            break
-        y = ny
-    if y != x:
-        return False
-    return not any(satisfies(y, b, x) for b in constraints)
+def is_answer_set(x: frozenset[Literal], program: Program) -> bool:
+    """x is the minimal consistent closed set of the reduct relative to x:
+    ``minimal_closed_set(reduct(program, x)) == x``, by the compiled fixpoint."""
+    x = frozenset(x)
+    # the fixpoint alone would accept an inconsistent x such as {p, -p}
+    possible = is_consistent(x) and x <= program.universe
+    return possible and AnswerSetChecker(program).is_reduct_fixpoint(x)
 
 
 def enumerate_answer_sets_bruteforce(
@@ -171,24 +217,15 @@ def enumerate_answer_sets_bruteforce(
     Deterministic output order: by size, then lexicographically.  Refuses
     universes larger than the bound.
     """
-    universe = sorted(program.universe, key=literal_key)
-    if len(universe) > bound:
+    size = len(program.universe)
+    if size > bound:
         raise EnumerationBoundError(
-            f"universe has {len(universe)} literals, above the bound of {bound}; "
+            f"universe has {size} literals, above the bound of {bound}; "
             "raise the bound to force exhaustive enumeration"
         )
-    by_atom: dict = {}
-    for l in universe:
-        by_atom.setdefault(l.atom, []).append(l)
-    groups = []
-    for atom in sorted(by_atom, key=atom_key):
-        lits = sorted(by_atom[atom], key=literal_key)
-        groups.append([()] + [(l,) for l in lits])
-    heads = [(r.head, r.body) for r in program.rules if r.head is not None]
-    constraints = [r.body for r in program.rules if r.head is None]
-    found = []
-    for pick in itertools.product(*groups):
-        x = frozenset(itertools.chain.from_iterable(pick))
-        if _answer_set_check(x, heads, constraints):
-            found.append(x)
-    return tuple(sorted(found, key=literal_set_key))
+    checker = AnswerSetChecker(program)
+    # literal_key order puts the literals of each atom side by side
+    by_atom = itertools.groupby(checker.literals, key=lambda l: l.atom)
+    groups = [[()] + [(l,) for l in lits] for _, lits in by_atom]
+    subsets = (frozenset(itertools.chain.from_iterable(p)) for p in itertools.product(*groups))
+    return tuple(sorted(filter(checker.is_reduct_fixpoint, subsets), key=literal_set_key))

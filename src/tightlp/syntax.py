@@ -42,6 +42,13 @@ class Atom:
         if not _is_predicate_name(self.predicate):
             raise ValueError(f"invalid predicate name: {self.predicate!r}")
         object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+
+    def __hash__(self) -> int:  # the generated hash, computed once, as Not's
+        return self._hash
+
+    def __reduce__(self):  # rebuilt on unpickling, so the hash is this process's
+        return Atom, (self.predicate, self.args)
 
     def __str__(self) -> str:
         if not self.args:
@@ -55,6 +62,15 @@ class Literal:
 
     atom: Atom
     negated: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
+
+    def __hash__(self) -> int:  # as Atom's
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.atom, self.negated)
 
     def __str__(self) -> str:
         return "-" + str(self.atom) if self.negated else str(self.atom)
@@ -131,6 +147,9 @@ class Not(Formula):
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):  # as Atom's
+        return Not, (self.operand,)
+
 
 @dataclass(frozen=True, init=False)
 class _Junction(Formula):
@@ -150,6 +169,9 @@ class _Junction(Formula):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return type(self), self.parts
 
 
 class And(_Junction):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .syntax import (
@@ -63,6 +64,7 @@ class DefSpec:
         return tuple(self.tc_atom(x, y) for x, y in itertools.product(c, c))
 
 
+@lru_cache(maxsize=16)
 def def_rules(spec: DefSpec) -> Program:
     """tc as the transitive closure of p, ground over the constants:
     tc(x,y) :- p(x,y) and tc(x,y) :- p(x,v), tc(v,y)."""

@@ -2,10 +2,11 @@
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from conftest import random_program
+from conftest import consistent_subsets, random_program
 from tightlp import (
     Atom,
     CapacityError,
@@ -19,18 +20,24 @@ from tightlp import (
     answer_sets_via_completion,
     atom_set_key,
     clausify,
+    DefSpec,
     completion,
+    def_rules,
     enumerate_answer_sets_bruteforce,
     is_absolutely_tight,
     is_answer_set,
     is_tight_on,
+    merge_programs,
+    minimal_closed_set,
     parse_literals,
     parse_program,
     queens_program,
+    reduct,
     satisfies_completion,
     solve_all,
     to_dimacs,
 )
+from tightlp.semantics import AnswerSetChecker
 
 
 class TestClausify:
@@ -245,3 +252,54 @@ class TestAnswerSetsViaCompletion:
                 assert satisfies_completion(frozenset(l.atom for l in x), comp)
         assert TAG_ABSOLUTELY_TIGHT in tags_seen
         assert TAG_TIGHT_ON_MODEL in tags_seen
+
+    def test_admission_matches_the_definitions(self):
+        # every completion model's (accepted, tag) against is_tight_on, then
+        # the least model of the reduct
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(300):
+            prog = random_program(
+                rng,
+                n_atoms=4,
+                max_rules=8,
+                depth=3,
+                classical=rng.random() < 0.5,
+                constraint_chance=0.2,
+            )
+            result = answer_sets_via_completion(prog)
+            got = dict(zip(result.answer_sets, result.tags))
+            got.update((x, None) for x in result.dropped)
+            assert len(got) == len(result.completion_models)
+            for x in result.completion_models:
+                if is_tight_on(prog, x):
+                    tight = is_absolutely_tight(prog)
+                    expect = TAG_ABSOLUTELY_TIGHT if tight else TAG_TIGHT_ON_MODEL
+                elif minimal_closed_set(reduct(prog, x)) == x:
+                    expect = TAG_VERIFIED
+                else:
+                    expect = None
+                assert got[x] == expect
+                seen[expect] += 1
+        assert min(seen[t] for t in (TAG_TIGHT_ON_MODEL, TAG_VERIFIED, None)) >= 10
+
+    def test_checker_matches_the_definitions_on_every_consistent_set(self):
+        rng = random.Random(67)
+        for _ in range(100):
+            prog = random_program(
+                rng, n_atoms=3, max_rules=7, depth=3, classical=rng.random() < 0.5
+            )
+            checker = AnswerSetChecker(prog)
+            for x in consistent_subsets(prog.universe):
+                assert checker.is_tight_on(x) is is_tight_on(prog, x)
+                fixpoint = minimal_closed_set(reduct(prog, x)) == x
+                assert checker.is_reduct_fixpoint(x) is fixpoint
+
+    def test_free_closure_3_counts(self):
+        choices = "".join("{p(%d,%d)}.\n" % (a, b) for a in (1, 2, 3) for b in (1, 2, 3))
+        prog = merge_programs(parse_program(choices), def_rules(DefSpec((1, 2, 3))))
+        result = answer_sets_via_completion(prog)
+        assert len(result.completion_models) == 1667
+        assert len(result.answer_sets) == 512
+        assert result.tags.count(TAG_TIGHT_ON_MODEL) == 25
+        assert result.tags.count(TAG_VERIFIED) == 487

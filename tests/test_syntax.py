@@ -1,9 +1,13 @@
 """Parsing, rendering, literal classifiers and classical negation removal."""
 
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,27 @@ def body(text: str):
 
 
 class TestAtomsAndLiterals:
+    def test_unpickling_in_another_process_rehashes(self):
+        # Atom, Literal, Not, And and Or store their hash, and str hashes
+        # differ from process to process
+        text = "p(1) :- not q, (r ; -s(a))."
+        head = "import pickle, sys; from tightlp import parse_program; "
+        dump = head + "print(pickle.dumps(parse_program(%r)).hex())" % text
+        load = head + (
+            "prog = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+            "fresh = parse_program(%r); "
+            "print(fresh.rules[0] in prog.rule_set, fresh.universe == prog.universe)"
+        ) % text
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = ""
+        for seed, code in (("1", dump), ("2", load)):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", code], input=out, env=env,
+                capture_output=True, text=True, check=True,
+            ).stdout
+        assert out == "True True\n"
+
     def test_atom_renders_with_args(self):
         assert str(Atom("on", ("b1", "table", 0))) == "on(b1,table,0)"
         assert str(Atom("p")) == "p"
