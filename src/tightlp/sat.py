@@ -284,7 +284,9 @@ def answer_sets_via_completion(
     comp = completion(target)
     cnf = clausify(comp)
     report = solve_all(cnf, max_models=max_models)
-    literals = {a: mapping.get(a) or Literal(a) for a in set().union(*report.models)}
+    # the program's own literals, so that set lookups meet the same objects
+    own = {l.atom: l for l in target.universe}
+    literals = {a: mapping.get(a) or own[a] for a in set().union(*report.models)}
     models = _sorted_sets(
         [frozenset(map(literals.__getitem__, m)) for m in report.models], literal_key
     )

@@ -340,24 +340,27 @@ def render(program: Program) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-# Whitespace, then one alternative per token kind, or the end of the input;
-# tried at a position so the text is never sliced.  ASCII only, so a letter
-# or digit outside ASCII is an unexpected character.  An ``atom`` token is a
-# whole ground atom without spaces, whose name and terms are identifiers other
-# than keywords, or integers; any other shape of atom is read token by token.
-_TERM = r"(?!(?:not|true|false)[,)])(?:[a-z][A-Za-z0-9_]*|[0-9]+)"
+# An identifier.  ASCII only, so a letter or digit outside ASCII is an
+# unexpected character.
+_IDENT = r"[a-z][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
+_TERM = rf"(?!(?:not|true|false)[,)])(?:{_IDENT}|[0-9]+)"
+# Whitespace and comments, then one token: a whole ground atom without spaces
+# (its name and terms identifiers other than keywords, or integers; any other
+# shape of atom is read token by token), an identifier, an integer, ':-', a
+# declaration, any other single character, or "" at the end of the input.
+# One findall reads every token string; offsets are found again only for a
+# message.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:(?P<comment>%[^\n]*)"
-    rf"|(?P<atom>(?!(?:not|true|false)\()[a-z][A-Za-z0-9_]*\({_TERM}(?:,{_TERM})*\))"
-    r"|(?P<ident>[a-z][A-Za-z0-9_]*)"
-    r"|(?P<int>[0-9]+)|(?P<punct>:-|[.,;()\-{}])|(?P<decl>#[a-z]*)|\Z)"
+    r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*("
+    rf"(?!(?:not|true|false)\(){_IDENT}\({_TERM}(?:,{_TERM})*\)"
+    rf"|{_IDENT}|[0-9]+|:-|#[a-z]*|.|\Z)"
 )
 
 
 @lru_cache(maxsize=1024)
 def _is_predicate_name(name: str) -> bool:
-    m = _TOKEN_RE.fullmatch(name)
-    return m is not None and m["ident"] == name and name not in _KEYWORDS
+    return _IDENT_RE.fullmatch(name) is not None and name not in _KEYWORDS
 
 
 def _position(text: str, pos: int) -> tuple[int, int]:
@@ -365,43 +368,41 @@ def _position(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """``(kind, text, offset)`` tokens, closed by an ``eof`` token whose text
-    is what error messages show for it.  The text of an ``atom`` token is the
-    predicate name, as for an identifier, and the whole atom's text follows
-    the offset."""
-    tokens = []
-    pos, n = 0, len(text)
-    m = None
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            while text[pos] in " \t\r\n":
-                pos += 1
-            c = text[pos]
-            if c == ":":
-                message = "expected ':-'"
-            elif c == "_" or "A" <= c <= "Z":
-                message = (
-                    f"unexpected character {c!r} (identifiers start with a lowercase "
-                    "letter; variables are not supported)"
-                )
-            else:
-                message = f"unexpected character {c!r}"
-            raise ParseError(message, *_position(text, pos))
-        kind = m.lastgroup
-        pos = m.end()
-        if kind == "atom":
-            whole = m[kind]
-            tokens.append((kind, whole[: whole.index("(")], pos - len(whole), whole))
-        elif kind is not None and kind != "comment":
-            value = m[kind]
-            if kind == "decl" and value != "#universe":
-                raise ParseError(f"unknown declaration {value!r}", *_position(text, pos - len(value)))
-            tokens.append((kind, value, pos - len(value)))
-    # input that ends in a comment ends where the comment starts
-    ends_in_comment = m is not None and m.lastgroup == "comment"
-    tokens.append(("eof", "end of input", m.start("comment") if ends_in_comment else n))
+def _token_offset(text: str, index: int) -> int:
+    """Offset of the index-th token.  Input that ends in a comment ends
+    where that comment starts."""
+    token = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
+    if token[1]:
+        return token.start(1)
+    comment = text.find("%", text.rfind("\n") + 1)
+    return comment if comment >= 0 else len(text)
+
+
+def _token_error(token: str) -> str | None:
+    """What is wrong with a token that no grammar rule reads, else None."""
+    if token[:1] == "#":
+        return None if token == "#universe" else f"unknown declaration {token!r}"
+    if len(token) != 1 or token in ".,;()-{}" or "a" <= token <= "z" or "0" <= token <= "9":
+        return None
+    if token == ":":
+        return "expected ':-'"
+    if token == "_" or "A" <= token <= "Z":
+        return (
+            f"unexpected character {token!r} (identifiers start with a lowercase "
+            "letter; variables are not supported)"
+        )
+    return f"unexpected character {token!r}"
+
+
+def _tokenize(text: str) -> list[str]:
+    """The token strings, closed by "" (twice when the input ends in
+    whitespace or a comment; the parser never reads past the first)."""
+    tokens = _TOKEN_RE.findall(text)
+    if any(map(_token_error, set(tokens))):
+        for m in _TOKEN_RE.finditer(text):
+            message = _token_error(m[1])
+            if message:
+                raise ParseError(message, *_position(text, m.start(1)))
     return tokens
 
 
@@ -414,45 +415,46 @@ class _Parser:
         self.arity_warned: set[str] = set()
         # The one Atom, Literal and Lit of each value in this parse, so that
         # equal ones are built once and later set lookups meet the same
-        # object.  Atoms are found by value or by an atom token's text, the
-        # others by the id of their part, which lives as long as the parse.
+        # object.  Atoms are found by value or by the token that names them
+        # alone; positive Literals and Lits by their atom token, and any by
+        # the id of their part, which lives as long as the parse.
         self.atoms: dict = {}
-        self.literals: dict[tuple[bool, int], Literal] = {}
-        self.lits: dict[int, Lit] = {}
-
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
-
-    def at(self, value: str) -> bool:
-        # punctuation, keyword and other token texts never coincide
-        return self.tokens[self.pos][1] == value
+        self.literals: dict = {}
+        self.lits: dict = {}
 
     def accept(self, value: str) -> bool:
-        """Consume the next token if its text is value."""
-        if self.tokens[self.pos][1] == value:
+        """Consume the next token if it is value."""
+        if self.tokens[self.pos] == value:
             self.pos += 1
             return True
         return False
 
     def expect(self, value: str) -> None:
-        if not self.accept(value):
-            raise self.fail(f"expected {value!r}, found {self.peek()[1]!r}")
+        if self.tokens[self.pos] != value:
+            raise self.fail(f"expected {value!r}, found {self.found()!r}")
+        self.pos += 1
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, *_position(self.text, self.peek()[2]))
+    def found(self) -> str:
+        """The next token as messages show it; an atom token by its name."""
+        token = self.tokens[self.pos]
+        return token.partition("(")[0] or token if token else "end of input"
+
+    def fail(self, message: str, shift: int = 0) -> ParseError:
+        offset = _token_offset(self.text, self.pos) + shift
+        return ParseError(message, *_position(self.text, offset))
 
     # grammar entry points -------------------------------------------------
 
     def program(self) -> Program:
         rules: list[Rule] = []
         declared: set[Literal] = set()
-        while self.peek()[0] != "eof":
+        while token := self.tokens[self.pos]:
             if self.accept("#universe"):
                 declared.update(self.literal_list())
                 self.expect(".")
-            elif self.at("{"):
+            elif token == "{":
                 rules.append(self.choice_rule())
-            elif self.peek()[0] == "int":
+            elif token.isdigit():
                 raise self.fail("weight constraints are not supported")
             else:
                 rules.append(self.rule())
@@ -466,29 +468,27 @@ class _Parser:
 
     def choice_rule(self) -> Rule:
         self.expect("{")
-        if self.at("-"):
+        if self.tokens[self.pos] == "-":
             raise self.fail("classical negation is not allowed inside a choice")
         lit = self.lit(self.literal())
-        if self.at(",") or self.at(";"):
+        if self.tokens[self.pos] in (",", ";"):
             raise self.fail(
                 "only a single atom is allowed inside a choice "
                 "(weight constraints are not supported)"
             )
         self.expect("}")
-        if self.at(":-"):
+        if self.tokens[self.pos] == ":-":
             raise self.fail("a choice rule cannot have a body")
         self.expect(".")
         return Rule(lit.literal, Not(Not(lit)))
 
     def rule(self) -> Rule:
-        if self.accept(":-"):
-            body = self.body()
-            self.expect(".")
-            return Rule(None, body)
-        head = self.literal()
-        if self.accept("."):
-            return Rule(head, TRUE)
-        self.expect(":-")
+        head = None
+        if not self.accept(":-"):
+            head = self.literal()
+            if self.accept("."):
+                return Rule(head, TRUE)
+            self.expect(":-")
         body = self.body()
         self.expect(".")
         return Rule(head, body)
@@ -501,22 +501,32 @@ class _Parser:
 
     def conjunction(self) -> Formula:
         parts = [self.unary()]
-        while self.accept(","):
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
             parts.append(self.unary())
         return And(*parts) if len(parts) > 1 else parts[0]
 
     def unary(self) -> Formula:
-        if self.accept("not"):
+        token = self.tokens[self.pos]
+        lit = self.lits.get(token)  # an atom token read before
+        if lit is not None:
+            self.pos += 1
+            return lit
+        if token == "not":
+            self.pos += 1
             return Not(self.unary())
-        if self.accept("("):
+        if token == "(":
+            self.pos += 1
             out = self.body()
             self.expect(")")
             return out
-        if self.accept("true"):
-            return TRUE
-        if self.accept("false"):
-            return FALSE
-        return self.lit(self.literal())
+        if token == "true" or token == "false":
+            self.pos += 1
+            return TRUE if token == "true" else FALSE
+        lit = self.lit(self.literal())
+        if token[-1] == ")":
+            self.lits[token] = lit
+        return lit
 
     def lit(self, literal: Literal) -> Lit:
         lit = self.lits.get(id(literal))
@@ -525,60 +535,69 @@ class _Parser:
         return lit
 
     def literal(self) -> Literal:
-        negated = self.accept("-")
+        token = self.tokens[self.pos]
+        literal = self.literals.get(token)  # an atom token read before
+        if literal is not None:
+            self.pos += 1
+            return literal
+        negated = token == "-"
+        self.pos += negated
         atom = self.atom()
         literal = self.literals.get((negated, id(atom)))
         if literal is None:
             literal = self.literals[negated, id(atom)] = Literal(atom, negated)
+        if token[-1] == ")":
+            self.literals[token] = literal
         return literal
 
     def atom(self) -> Atom:
-        token = self.peek()
-        if token[0] == "atom":
+        token = self.tokens[self.pos]
+        # an atom token, or a name without arguments, read before
+        atom = self.atoms.get(token)
+        if atom is not None and (atom.args or self.tokens[self.pos + 1] != "("):
             self.pos += 1
-            atom = self.atoms.get(token[3])
-            if atom is None:
-                name, offset, whole = token[1:]
-                terms = whole[len(name) + 1 : -1].split(",")
-                args = tuple(int(t) if t < "a" else t for t in terms)
-                self.record_arity(name, offset, len(args))
-                atom = Atom(name, args)
-                atom = self.atoms[whole] = self.atoms.setdefault(atom, atom)
             return atom
-        kind, name, offset = token
-        if kind != "ident" or name in _KEYWORDS:
-            raise self.fail(f"expected an atom, found {name!r}")
+        if not "a" <= token[:1] <= "z" or token in _KEYWORDS:
+            raise self.fail(f"expected an atom, found {self.found()!r}")
+        index = self.pos
         self.pos += 1
-        args: list[Term] = []
-        if self.accept("("):
-            args.append(self.term())
-            while self.accept(","):
+        if token[-1] == ")":  # a whole ground atom
+            name, _, terms = token[:-1].partition("(")
+            args = tuple(int(t) if t < "a" else t for t in terms.split(","))
+        else:
+            name, args = token, []
+            if self.accept("("):
                 args.append(self.term())
-            self.expect(")")
-        self.record_arity(name, offset, len(args))
-        atom = Atom(name, tuple(args))
-        return self.atoms.setdefault(atom, atom)
+                while self.accept(","):
+                    args.append(self.term())
+                self.expect(")")
+            args = tuple(args)
+        self.record_arity(name, index, len(args))
+        atom = Atom(name, args)
+        atom = self.atoms.setdefault(atom, atom)
+        if token != name or not args:  # the token alone names the atom
+            self.atoms[token] = atom
+        return atom
 
     def term(self) -> Term:
-        kind, value, offset = self.peek()[:3]
-        if kind == "atom":
-            # Terms take no arguments, so the atom's own '(' is where reading
-            # token by token fails: make that the next token.
-            self.tokens[self.pos] = ("punct", "(", offset + len(value))
-            return value
-        if kind == "int":
+        token = self.tokens[self.pos]
+        if token.isdigit():
             self.pos += 1
-            return int(value)
-        if kind == "ident" and value not in _KEYWORDS:
+            return int(token)
+        if "a" <= token[:1] <= "z" and token not in _KEYWORDS:
+            if token[-1] == ")":
+                # Terms take no arguments, so reading token by token fails
+                # at the atom token's own '('.
+                raise self.fail("expected ')', found '('", token.index("("))
             self.pos += 1
-            return value
-        raise self.fail(f"expected a term, found {value!r}")
+            return token
+        raise self.fail(f"expected a term, found {self.found()!r}")
 
-    def record_arity(self, name: str, offset: int, arity: int) -> None:
+    def record_arity(self, name: str, index: int, arity: int) -> None:
         seen = self.arities.setdefault(name, arity)
         if seen != arity and name not in self.arity_warned:
             self.arity_warned.add(name)
-            line = _position(self.text, offset)[0]
+            line = _position(self.text, _token_offset(self.text, index))[0]
             warnings.warn(
                 f"predicate {name!r} used with arities {seen} and {arity} (line {line})",
                 ArityWarning,
@@ -599,13 +618,12 @@ def parse_literals(text: str) -> frozenset[Literal]:
     parser = _Parser(text)
     braced = parser.accept("{")
     lits: list[Literal] = []
-    if parser.peek()[0] != "eof" and not parser.at("}"):
+    if parser.tokens[parser.pos] not in ("", "}"):
         lits = parser.literal_list()
     if braced:
         parser.expect("}")
-    kind, value = parser.peek()[:2]
-    if kind != "eof":
-        raise parser.fail(f"unexpected {value!r} after literal list")
+    if parser.tokens[parser.pos]:
+        raise parser.fail(f"unexpected {parser.found()!r} after literal list")
     return frozenset(lits)
 
 
@@ -635,9 +653,8 @@ def eliminate_classical_negation(program: Program) -> tuple[Program, dict[Atom, 
     empty mapping.  Answer sets of the result, translated back through the
     mapping, are exactly the consistent answer sets of the input.
     """
-    negated_atoms = sorted(
-        {l.atom for l in program.universe if l.negated}, key=atom_key
-    )
+    negated = {l.atom: l for l in program.universe if l.negated}
+    negated_atoms = sorted(negated, key=atom_key)
     if not negated_atoms:
         return program, {}
 
@@ -656,8 +673,8 @@ def eliminate_classical_negation(program: Program) -> tuple[Program, dict[Atom, 
     mapping: dict[Atom, Literal] = {}
     for atom in negated_atoms:
         primed = Atom(fresh_preds[atom.predicate], atom.args)
-        table[Literal(atom, True)] = Literal(primed)
-        mapping[primed] = Literal(atom, True)
+        table[negated[atom]] = Literal(primed)
+        mapping[primed] = negated[atom]
 
     rules = [
         Rule(

@@ -55,13 +55,15 @@ class DefSpec:
     def tc_atom(self, x: Term, y: Term) -> Atom:
         return Atom(self.tc_name, (x, y) + self.tc_extra_args)
 
-    def p_atoms(self) -> tuple[Atom, ...]:
-        c = self.constants
-        return tuple(self.p_atom(x, y) for x, y in itertools.product(c, c))
 
-    def tc_atoms(self) -> tuple[Atom, ...]:
-        c = self.constants
-        return tuple(self.tc_atom(x, y) for x, y in itertools.product(c, c))
+@lru_cache(maxsize=16)
+def _pair_literals(spec: DefSpec) -> tuple[dict[Pair, Literal], dict[Pair, Literal]]:
+    """The p literal and the tc literal of each pair, built once per spec."""
+    pairs = tuple(itertools.product(spec.constants, repeat=2))
+    return (
+        {pair: Literal(spec.p_atom(*pair)) for pair in pairs},
+        {pair: Literal(spec.tc_atom(*pair)) for pair in pairs},
+    )
 
 
 @lru_cache(maxsize=16)
@@ -96,24 +98,17 @@ def warshall(pairs: Iterable[Pair]) -> frozenset[Pair]:
     return frozenset(closure)
 
 
-def p_extent(x: Iterable[Literal], spec: DefSpec) -> frozenset[Pair]:
+def _extent(x: Iterable[Literal], literals: dict[Pair, Literal]) -> frozenset[Pair]:
     xs = frozenset(x)
-    c = spec.constants
-    return frozenset(
-        (a, b)
-        for a, b in itertools.product(c, c)
-        if Literal(spec.p_atom(a, b)) in xs
-    )
+    return frozenset(pair for pair, l in literals.items() if l in xs)
+
+
+def p_extent(x: Iterable[Literal], spec: DefSpec) -> frozenset[Pair]:
+    return _extent(x, _pair_literals(spec)[0])
 
 
 def tc_extent(x: Iterable[Literal], spec: DefSpec) -> frozenset[Pair]:
-    xs = frozenset(x)
-    c = spec.constants
-    return frozenset(
-        (a, b)
-        for a, b in itertools.product(c, c)
-        if Literal(spec.tc_atom(a, b)) in xs
-    )
+    return _extent(x, _pair_literals(spec)[1])
 
 
 def check_tc_extent(x: Iterable[Literal], spec: DefSpec) -> bool:
@@ -149,7 +144,8 @@ def check_tightness_preservation(
     """Evaluate the three conditions; when all hold, verify directly that the
     program plus the closure definition is tight on x."""
     xs = frozenset(x)
-    tc_atoms = set(spec.tc_atoms())
+    p_lits, tc_lits = _pair_literals(spec)
+    tc_atoms = {l.atom for l in tc_lits.values()}
     for r in program.rules:
         if r.head is not None and r.head.atom in tc_atoms:
             raise ValueError(
@@ -157,13 +153,12 @@ def check_tightness_preservation(
                 f"rule with head {r.head} found"
             )
     graph = parent_graph(program, xs)
-    pairs = p_extent(xs, spec)
+    pairs = _extent(xs, p_lits)
     cond_i = graph.find_cycle() is None
     cond_ii = is_wellfounded({(a, b) for (b, a) in pairs})
     cond_iii = True
-    tc_lits = {Literal(a) for a in tc_atoms}
-    for a, b in pairs:
-        if graph.ancestors(Literal(spec.p_atom(a, b))) & tc_lits:
+    for pair in pairs:
+        if not graph.ancestors(p_lits[pair]).isdisjoint(tc_lits.values()):
             cond_iii = False
             break
     report = TightnessPreservationReport(cond_i, cond_ii, cond_iii)

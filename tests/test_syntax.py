@@ -269,6 +269,26 @@ class TestAtomTokens:
         assert len(x) == 2
         assert len({id(l.atom) for l in x}) == 2
 
+    def test_an_atom_token_read_again_is_the_same_object(self):
+        with pytest.warns(ArityWarning):
+            r1, r2, r3 = p(
+                "p(1,2) :- p(1,2), not p(1,2), q.\n"
+                "q :- p( 1,2 ), -p(1,2), not -p(1,2), p(1,2).\n"
+                "-p(1,2) :- not p(1,2), q, q (1)."
+            ).rules
+        pos, neg = r1.body.parts[0], r2.body.parts[1]
+        assert pos.literal == Literal(Atom("p", (1, 2)))
+        assert neg.literal == Literal(Atom("p", (1, 2)), True)
+        for lit in (r1.body.parts[1].operand, r2.body.parts[0], r2.body.parts[3], r3.body.parts[0].operand):
+            assert lit is pos
+        assert r2.body.parts[2].operand is neg
+        assert r1.head is pos.literal and r3.head is neg.literal
+        assert neg.literal.atom is pos.literal.atom
+        # a name without arguments is one object too, and not the atom q(1)
+        q, q1 = r3.body.parts[1:]
+        assert q.literal is r1.body.parts[2].literal is r2.head
+        assert q1.literal == Literal(Atom("q", (1,)))
+
     @pytest.mark.parametrize(
         "text, expected",
         [
@@ -300,6 +320,43 @@ class TestAtomTokens:
             parse_literals("{p(a(b))}")
         with pytest.raises(ParseError, match="^line 1, column 12: unexpected 'r' after literal list$"):
             parse_literals("p(1), q(2) r(3)")
+
+
+class TestInputEdges:
+    """Where the end of the input is, and which error or warning comes first."""
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("p :- q % c", 1, 8),  # input that ends in a comment ends where it starts
+            ("p :- q % c\n", 2, 1),
+            ("p :- q   ", 1, 10),
+            ("p :- q\r\n% c", 2, 1),
+        ],
+    )
+    def test_end_of_input(self, text, line, column):
+        with pytest.raises(ParseError) as e:
+            parse_program(text)
+        assert str(e.value) == f"line {line}, column {column}: expected '.', found 'end of input'"
+
+    @pytest.mark.parametrize("text", ["", "% only", " \n", "% a\n% b\n"])
+    def test_empty_inputs(self, text):
+        assert parse_program(text) == Program()
+        assert parse_literals(text) == frozenset()
+
+    def test_a_bad_character_comes_before_any_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match="^line 1, column 10: unexpected character 'X' "):
+                parse_program("p. p(1). X.")
+        assert caught == []
+
+    def test_a_grammar_error_comes_after_the_warnings_before_it(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match=r"^line 1, column 13: expected an atom, found '\.'$"):
+                parse_program("p. p(1). :- .")
+        assert [type(w.message) for w in caught] == [ArityWarning]
 
 
 class TestRendering:
