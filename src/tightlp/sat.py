@@ -57,11 +57,16 @@ class SolveReport:
 
 
 def clausify(comp: Completion) -> Cnf:
-    """Tseitin translation with one definitional variable per connective
-    node, including each negation, so nested ``not not`` stays visible.
+    """Tseitin translation: every And or Or node is a gate whose variable
+    is equivalent to it, and a negation is the negated literal of its operand.
 
-    An n-ary And or Or is one gate: n binary clauses tie the variable to
-    each part, and one long clause ties the parts back to it.
+    An n-ary gate takes n binary clauses that tie its variable to each part
+    and one long clause that ties the parts back to it.  A completion entry
+    ``a <-> D`` whose D is a new gate uses a's variable as the gate's, so it
+    needs no equivalence clauses; D = true or false gives a unit clause.  A
+    constraint whose body is a new And is one clause of the negated parts.
+    Every auxiliary variable is still fully defined, so unit propagation from
+    a total assignment of the atoms fixes all of them.
     """
     atoms = [a for a, _ in comp.entries]
     varmap = {a: i + 1 for i, a in enumerate(atoms)}
@@ -90,7 +95,8 @@ def clausify(comp: Completion) -> Cnf:
             clauses.append((state["true"],))
         return state["true"]
 
-    def walk(f: Formula) -> int:
+    def walk(f: Formula, out: int = 0) -> int:
+        """The literal equivalent to f; a new gate takes out, if given."""
         got = cache.get(f)
         if got is not None:
             return got
@@ -101,13 +107,10 @@ def clausify(comp: Completion) -> Cnf:
         elif isinstance(f, Bottom):
             out = -const_true()
         elif isinstance(f, Not):
-            c = walk(f.operand)
-            out = fresh()
-            emit((-out, -c))
-            emit((out, c))
+            out = -walk(f.operand)
         elif isinstance(f, (And, Or)):
             parts = [walk(part) for part in f.parts]
-            out = fresh()
+            out = out or fresh()
             if isinstance(f, And):
                 for p in parts:
                     emit((-out, p))
@@ -122,13 +125,20 @@ def clausify(comp: Completion) -> Cnf:
         return out
 
     for atom, disj in comp.entries:
-        d = walk(disj)
         v = varmap[atom]
-        emit((-v, d))
-        emit((v, -d))
+        if isinstance(disj, (Top, Bottom)):
+            emit((v if isinstance(disj, Top) else -v,))
+        elif isinstance(disj, (And, Or)) and disj not in cache:
+            walk(disj, v)
+        else:
+            d = walk(disj)
+            emit((-v, d))
+            emit((v, -d))
     for body in comp.constraint_bodies:
-        b = walk(body)
-        emit((-b,))
+        if isinstance(body, And) and body not in cache:
+            emit(tuple(-walk(part) for part in body.parts))
+        else:
+            emit((-walk(body),))
     return Cnf(state["next"], tuple(clauses), varmap)
 
 

@@ -195,7 +195,7 @@ class TestDimacs:
     def test_stdout(self, program_file, capsys):
         assert run(["dimacs", program_file("q.\np :- q.\n")]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("c var 1 = p\nc var 2 = q\np cnf 3 5\n")
+        assert out.startswith("c var 1 = p\nc var 2 = q\np cnf 2 3\n")
         assert out.endswith("0\n")
 
     def test_output_file(self, program_file, tmp_path, capsys):

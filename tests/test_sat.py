@@ -6,14 +6,16 @@ from collections import Counter
 
 import pytest
 
-from conftest import consistent_subsets, random_program
+from conftest import ATOMS, consistent_subsets, random_program
 from tightlp import (
     Atom,
     CapacityError,
     Cnf,
     Literal,
     ModelCapError,
+    Program,
     QueensSpec,
+    Rule,
     TAG_ABSOLUTELY_TIGHT,
     TAG_TIGHT_ON_MODEL,
     TAG_VERIFIED,
@@ -23,6 +25,7 @@ from tightlp import (
     DefSpec,
     completion,
     def_rules,
+    eliminate_classical_negation,
     enumerate_answer_sets_bruteforce,
     is_absolutely_tight,
     is_answer_set,
@@ -51,16 +54,17 @@ class TestClausify:
             for lit in clause
         )
 
-    def test_double_negation_keeps_its_own_variable(self):
+    def test_negation_is_a_literal(self):
         cnf = clausify(completion(parse_program("p :- not not p.\np :- p, q.")))
-        # p, q, or-node, two nested negations, and-node, shared constant
-        assert cnf.num_vars == 7
-        assert len(cnf.clauses) == 15
+        # p, q and the and-node; not not p is p itself, and the or-node is p
+        assert cnf.num_vars == 3
+        assert len(cnf.clauses) == 5
 
     def test_identical_subformulas_share_variables(self):
         cnf = clausify(completion(parse_program("p :- q, r.\ns :- q, r.")))
-        # one and-node serves both entries; one constant serves q, r
-        assert cnf.num_vars == 6
+        # p's variable is the and-node, and s's entry ties s to it
+        assert cnf.num_vars == 4
+        assert cnf.clauses[-2:] == ((-4, 1), (4, -1))
 
     def test_solver_sees_completion_models(self):
         cnf = clausify(completion(parse_program("p :- p.")))
@@ -72,39 +76,84 @@ class TestClausify:
         assert to_dimacs(cnf) == (
             "c var 1 = p\n"
             "c var 2 = q\n"
-            "p cnf 3 5\n"
+            "p cnf 2 3\n"
             "-1 2 0\n"
             "1 -2 0\n"
-            "3 0\n"
-            "-2 3 0\n"
-            "2 -3 0\n"
+            "2 0\n"
         )
 
     def test_nary_disjunction_is_one_gate(self):
         cnf = clausify(completion(parse_program("h :- a ; b ; c.")))
-        # var 5 is the constant true that a, b and c are equivalent to
-        # false through; var 6 is the one or-node: three binary clauses
-        # and one long clause, where a binary chain took two nodes
+        # a, b and c head no rule, so each is a unit clause; h's variable
+        # is the one or-node: three binary clauses and one long clause,
+        # with no variable of its own and no equivalence clauses
         assert to_dimacs(cnf) == (
             "c var 1 = a\n"
             "c var 2 = b\n"
             "c var 3 = c\n"
             "c var 4 = h\n"
-            "p cnf 6 13\n"
-            "5 0\n"
-            "-1 -5 0\n"
-            "1 5 0\n"
-            "-2 -5 0\n"
-            "2 5 0\n"
-            "-3 -5 0\n"
-            "3 5 0\n"
-            "6 -1 0\n"
-            "6 -2 0\n"
-            "6 -3 0\n"
-            "-6 1 2 3 0\n"
-            "-4 6 0\n"
-            "4 -6 0\n"
+            "p cnf 4 7\n"
+            "-1 0\n"
+            "-2 0\n"
+            "-3 0\n"
+            "4 -1 0\n"
+            "4 -2 0\n"
+            "4 -3 0\n"
+            "-4 1 2 3 0\n"
         )
+
+    def test_unit_propagation_decides_every_atom_assignment(self):
+        # every auxiliary variable is fully defined: from any total
+        # assignment of the atoms, unit propagation alone reaches a total
+        # model exactly when the assignment is a completion model
+        rng = random.Random(71)
+        kinds = Counter()
+        for _ in range(300):
+            prog = random_program(
+                rng,
+                n_atoms=4,
+                max_rules=7,
+                depth=3,
+                classical=rng.random() < 0.5,
+                constraint_chance=0.2,
+            )
+            if rng.random() < 0.5:
+                # a second head for some rule's body, so a gate is met again
+                extra = Rule(Literal(rng.choice(ATOMS[:4])), rng.choice(prog.rules).body)
+                prog = Program(prog.rules + (extra,))
+            comp = completion(eliminate_classical_negation(prog)[0])
+            cnf = clausify(comp)
+            for bits in range(2 ** len(comp.atoms)):
+                true = {a for k, a in enumerate(comp.atoms) if bits >> k & 1}
+                start = {v if a in true else -v for a, v in cnf.varmap.items()}
+                derived = _unit_propagate(cnf.clauses, start)
+                if satisfies_completion(true, comp):
+                    assert derived is not None
+                    assert {abs(l) for l in derived} == set(range(1, cnf.num_vars + 1))
+                    assert all(any(l in derived for l in c) for c in cnf.clauses)
+                else:
+                    assert derived is None
+                kinds[derived is None] += 1
+        assert min(kinds.values()) >= 200
+
+
+def _unit_propagate(clauses, assigned: set[int]) -> set[int] | None:
+    """The literals that unit propagation from assigned reaches, or None
+    when it falsifies a clause."""
+    assigned = set(assigned)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(l in assigned for l in clause):
+                continue
+            open_lits = [l for l in clause if -l not in assigned]
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                assigned.add(open_lits[0])
+                changed = True
+    return assigned
 
 
 class TestSolveAll:
