@@ -25,7 +25,6 @@ from .semantics import (
 from .completion import completion, render_completion
 from .sat import answer_sets_via_completion, clausify, to_dimacs
 from .tightness import (
-    is_absolutely_tight,
     lambda_witness,
     parent_graph,
     positive_dependency_graph,

@@ -8,13 +8,13 @@ from dataclasses import dataclass
 from .syntax import (
     And,
     Atom,
-    Formula,
     Lit,
     Literal,
     Not,
     Program,
     Rule,
     conj_of,
+    is_term,
 )
 from .transitive_closure import DefSpec
 
@@ -87,6 +87,9 @@ class BlocksSpec:
             raise ValueError("'table' is reserved for the table location")
         if len(set(self.blocks)) != len(self.blocks):
             raise ValueError("block names must be distinct")
+        for b in self.blocks:
+            if not is_term(b):
+                raise ValueError(f"invalid block name: {b!r}")
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
         object.__setattr__(self, "blocks", tuple(sorted(self.blocks)))

@@ -16,9 +16,8 @@ from .syntax import (
     Or,
     Program,
     Top,
-    atom_key,
     eliminate_classical_negation,
-    literal_key,
+    sorted_literal_sets,
 )
 from .semantics import AnswerSetChecker, CapacityError, is_answer_set
 from .completion import Completion, completion
@@ -52,6 +51,8 @@ class SolveStats:
 
 @dataclass
 class SolveReport:
+    """The projected models, in the order the search found them."""
+
     models: tuple[frozenset[Atom], ...]
     stats: SolveStats
 
@@ -150,7 +151,8 @@ def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
     conflict the search backtracks chronologically to the last decision not
     yet flipped and flips it; after a model, auxiliary decisions are dropped
     first, since they only showed that some extension exists.  So each
-    projected model is found once, with no blocking clauses and no restarts.
+    projected model is found once, with no blocking clauses and no restarts,
+    and the models come back unsorted, in that order, fixed for a given CNF.
     """
     stats = SolveStats()
     n = cnf.num_vars
@@ -243,14 +245,7 @@ def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
         level[2] = True
         assign(-lit)
         consistent = propagate()
-    return SolveReport(tuple(_sorted_sets(models, atom_key)), stats)
-
-
-def _sorted_sets(sets: list[frozenset], key) -> list[frozenset]:
-    """The sets in atom_set_key or literal_set_key order (by size, then by
-    their elements sorted under key), with key called once per element."""
-    rank = {e: i for i, e in enumerate(sorted(set().union(*sets), key=key))}
-    return sorted(sets, key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))
+    return SolveReport(tuple(models), stats)
 
 
 def to_dimacs(cnf: Cnf) -> str:
@@ -297,8 +292,8 @@ def answer_sets_via_completion(
     # the program's own literals, so that set lookups meet the same objects
     own = {l.atom: l for l in target.universe}
     literals = {a: mapping.get(a) or own[a] for a in set().union(*report.models)}
-    models = _sorted_sets(
-        [frozenset(map(literals.__getitem__, m)) for m in report.models], literal_key
+    models = sorted_literal_sets(
+        frozenset(map(literals.__getitem__, m)) for m in report.models
     )
     accepted: list[frozenset[Literal]] = []
     tags: list[str] = []

@@ -20,8 +20,8 @@ from .syntax import (
     Top,
     complement,
     literal_key,
-    literal_set_key,
     positive_literals,
+    sorted_literal_sets,
 )
 
 class CapacityError(RuntimeError):
@@ -228,4 +228,4 @@ def enumerate_answer_sets_bruteforce(
     by_atom = itertools.groupby(checker.literals, key=lambda l: l.atom)
     groups = [[()] + [(l,) for l in lits] for _, lits in by_atom]
     subsets = (frozenset(itertools.chain.from_iterable(p)) for p in itertools.product(*groups))
-    return tuple(sorted(filter(checker.is_reduct_fixpoint, subsets), key=literal_set_key))
+    return tuple(sorted_literal_sets(filter(checker.is_reduct_fixpoint, subsets)))

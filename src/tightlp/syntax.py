@@ -13,7 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 Term = Union[str, int]
 
@@ -80,6 +80,11 @@ def complement(literal: Literal) -> Literal:
     return Literal(literal.atom, not literal.negated)
 
 
+def is_term(t) -> bool:
+    """An int >= 0, or an identifier other than a keyword: a term that reads back."""
+    return _is_predicate_name(t) if isinstance(t, str) else type(t) is int and t >= 0
+
+
 def term_key(t: Term):
     # integers sort before identifiers, each kind by its own order
     return (0, t, "") if isinstance(t, int) else (1, 0, t)
@@ -98,9 +103,11 @@ def literal_set_key(x: Iterable[Literal]):
     return (len(lits), lits)
 
 
-def atom_set_key(x: Iterable[Atom]):
-    atoms = sorted(atom_key(a) for a in x)
-    return (len(atoms), atoms)
+def sorted_literal_sets(sets: Iterable[frozenset[Literal]]) -> list[frozenset[Literal]]:
+    """The sets in literal_set_key order, with literal_key called once per literal."""
+    sets = list(sets)
+    rank = {l: i for i, l in enumerate(sorted(set().union(*sets), key=literal_key))}
+    return sorted(sets, key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))
 
 
 def format_literal_set(x: Iterable[Literal]) -> str:
@@ -654,27 +661,24 @@ def eliminate_classical_negation(program: Program) -> tuple[Program, dict[Atom, 
     mapping, are exactly the consistent answer sets of the input.
     """
     negated = {l.atom: l for l in program.universe if l.negated}
-    negated_atoms = sorted(negated, key=atom_key)
-    if not negated_atoms:
+    if not negated:
         return program, {}
 
     existing = {l.atom.predicate for l in program.universe}
-    fresh_preds: dict[str, str] = {}
-    for atom in negated_atoms:
+    table: dict[Literal, Literal] = {}
+    mapping: dict[Atom, Literal] = {}
+    constraints: list[Rule] = []
+    for atom in sorted(negated, key=atom_key):
         fresh = atom.predicate + "_neg"
         if fresh in existing:
             raise ValueError(
                 f"cannot eliminate classical negation: fresh predicate {fresh!r} "
                 "collides with an existing predicate"
             )
-        fresh_preds[atom.predicate] = fresh
-
-    table: dict[Literal, Literal] = {}
-    mapping: dict[Atom, Literal] = {}
-    for atom in negated_atoms:
-        primed = Atom(fresh_preds[atom.predicate], atom.args)
-        table[negated[atom]] = Literal(primed)
-        mapping[primed] = negated[atom]
+        primed = Literal(Atom(fresh, atom.args))
+        table[negated[atom]] = primed
+        mapping[primed.atom] = negated[atom]
+        constraints.append(Rule(None, And(Lit(Literal(atom)), Lit(primed))))
 
     rules = [
         Rule(
@@ -683,8 +687,5 @@ def eliminate_classical_negation(program: Program) -> tuple[Program, dict[Atom, 
         )
         for r in program.rules
     ]
-    for atom in negated_atoms:
-        primed = table[Literal(atom, True)].atom
-        rules.append(Rule(None, And(Lit(Literal(atom)), Lit(Literal(primed)))))
     declared = frozenset(table.get(l, l) for l in program.declared)
-    return Program(tuple(rules), declared), mapping
+    return Program(tuple(rules + constraints), declared), mapping

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Iterable
 
 from .syntax import (
     Literal,
@@ -18,17 +18,11 @@ from .semantics import satisfies
 
 @dataclass(frozen=True)
 class Digraph:
-    """Finite directed graph with deterministic traversal order."""
+    """Finite directed graph.  One pass of Kahn's algorithm, cached, answers
+    every acyclicity question about it."""
 
     vertices: frozenset
     edges: frozenset[tuple]
-
-    @cached_property
-    def _adjacency(self) -> dict:
-        adj: dict = {v: [] for v in self.vertices}
-        for u, w in self.edges:
-            adj[u].append(w)
-        return adj
 
     @cached_property
     def _predecessors(self) -> dict:
@@ -37,57 +31,48 @@ class Digraph:
             pred[w].append(u)
         return pred
 
-    def find_cycle(self, key: Callable = literal_key) -> list | None:
-        """Some cycle as [v0, ..., vk, v0], or None; self-loops count."""
-        adj = {v: sorted(ws, key=key) for v, ws in self._adjacency.items()}
-        color: dict = {}
-        parent: dict = {}
-        for root in sorted(self.vertices, key=key):
-            if root in color:
-                continue
-            color[root] = 1
-            stack = [(root, iter(adj[root]))]
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    mark = color.get(nxt, 0)
-                    if mark == 0:
-                        color[nxt] = 1
-                        parent[nxt] = node
-                        stack.append((nxt, iter(adj[nxt])))
-                        advanced = True
-                        break
-                    if mark == 1:
-                        path = [node]
-                        while path[-1] != nxt:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        path.append(nxt)
-                        return path
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-        return None
-
-    def is_acyclic(self, key: Callable = literal_key) -> bool:
-        return self.find_cycle(key) is None
-
-    def longest_path_depths(self, key: Callable = literal_key) -> dict:
-        """Longest incoming path length per vertex, in key order; requires
-        acyclicity."""
-        depths = {v: 0 for v in sorted(self.vertices, key=key)}
-        waiting = {v: len(us) for v, us in self._predecessors.items()}
-        ready = [v for v in depths if not waiting[v]]
+    @cached_property
+    def _depths(self) -> dict:
+        """Longest incoming path length of each vertex Kahn's algorithm places:
+        all of them unless some lie on a cycle or behind one."""
+        pred = self._predecessors
+        succ: dict = {v: [] for v in self.vertices}
+        for u, w in self.edges:
+            succ[u].append(w)
+        waiting = {v: len(us) for v, us in pred.items()}
+        ready = [v for v, n in waiting.items() if not n]
+        depths = dict.fromkeys(ready, 0)
         for v in ready:  # Kahn's order: every vertex after its predecessors
-            for w in self._adjacency[v]:
-                depths[w] = max(depths[w], depths[v] + 1)
+            for w in succ[v]:
                 waiting[w] -= 1
                 if not waiting[w]:
+                    depths[w] = 1 + max(map(depths.__getitem__, pred[w]))
                     ready.append(w)
-        if len(ready) != len(depths):
-            raise ValueError("longest path depths need an acyclic graph")
         return depths
+
+    def is_acyclic(self) -> bool:
+        return len(self._depths) == len(self.vertices)
+
+    def find_cycle(self, key: Callable | None = literal_key) -> list | None:
+        """A cycle as [v0, ..., vk, v0], or None; self-loops count.  Walks back
+        from the key-least vertex Kahn's pass left unplaced, each time to the
+        key-least unplaced predecessor, so hash order cannot change the cycle."""
+        if self.is_acyclic():
+            return None
+        placed = self._depths
+        node = min((v for v in self.vertices if v not in placed), key=key)
+        walk: dict = {}  # the vertices met, in order
+        while node not in walk:
+            walk[node] = None
+            node = min((u for u in self._predecessors[node] if u not in placed), key=key)
+        back = list(walk)
+        return [node, *reversed(back[back.index(node) :])]
+
+    def longest_path_depths(self) -> dict:
+        """Longest incoming path length per vertex; requires acyclicity."""
+        if not self.is_acyclic():
+            raise ValueError("longest path depths need an acyclic graph")
+        return dict(self._depths)
 
     def ancestors(self, vertex) -> frozenset:
         """Vertices with a path of one or more edges to the given one."""
@@ -111,9 +96,7 @@ def parent_graph(program: Program, x: Iterable[Literal]) -> Digraph:
     xs = frozenset(x)
     edges = set()
     for r in program.rules:
-        if r.head is None or r.head not in xs:
-            continue
-        if not satisfies(xs, r.body):
+        if r.head is None or r.head not in xs or not satisfies(xs, r.body):
             continue
         for l in positive_literals(r.body):
             if l in xs:
@@ -145,12 +128,12 @@ def program_positive_literals(program: Program) -> frozenset[Literal]:
 
 def is_tight_on(program: Program, x: Iterable[Literal]) -> bool:
     """No cycle in the parent relation relative to (program, x)."""
-    return parent_graph(program, x).find_cycle() is None
+    return parent_graph(program, x).is_acyclic()
 
 
 def is_absolutely_tight(program: Program) -> bool:
     """No cycle in the positive dependency graph."""
-    return positive_dependency_graph(program).find_cycle() is None
+    return positive_dependency_graph(program).is_acyclic()
 
 
 def lambda_witness(program: Program, x: Iterable[Literal]) -> dict[Literal, int] | None:
@@ -161,7 +144,7 @@ def lambda_witness(program: Program, x: Iterable[Literal]) -> dict[Literal, int]
     """
     xs = frozenset(x)
     graph = parent_graph(program, xs)
-    if graph.find_cycle() is not None:
+    if not graph.is_acyclic():
         return None
     depths = graph.longest_path_depths()
     for r in program.rules:

@@ -15,6 +15,7 @@ from .syntax import (
     Program,
     Rule,
     Term,
+    is_term,
     merge_programs,
     term_key,
 )
@@ -45,6 +46,9 @@ class DefSpec:
             raise ValueError("constants must be distinct")
         if self.p_name == self.tc_name:
             raise ValueError("base and closure predicates must differ")
+        for t in (*self.constants, *self.p_extra_args, *self.tc_extra_args):
+            if not is_term(t):
+                raise ValueError(f"invalid term: {t!r}")
         object.__setattr__(
             self, "constants", tuple(sorted(self.constants, key=term_key))
         )
@@ -120,7 +124,7 @@ def is_wellfounded(pairs: Iterable[Pair]) -> bool:
     """No cycle in the finite relation (infinite descent is impossible)."""
     edges = frozenset(pairs)
     nodes = frozenset(x for p in edges for x in p)
-    return Digraph(nodes, edges).find_cycle(key=term_key) is None
+    return Digraph(nodes, edges).is_acyclic()
 
 
 @dataclass(frozen=True)
@@ -154,13 +158,11 @@ def check_tightness_preservation(
             )
     graph = parent_graph(program, xs)
     pairs = _extent(xs, p_lits)
-    cond_i = graph.find_cycle() is None
+    cond_i = graph.is_acyclic()
     cond_ii = is_wellfounded({(a, b) for (b, a) in pairs})
-    cond_iii = True
-    for pair in pairs:
-        if not graph.ancestors(p_lits[pair]).isdisjoint(tc_lits.values()):
-            cond_iii = False
-            break
+    cond_iii = all(
+        graph.ancestors(p_lits[pair]).isdisjoint(tc_lits.values()) for pair in pairs
+    )
     report = TightnessPreservationReport(cond_i, cond_ii, cond_iii)
     if report.conclusion_applicable:
         if not is_tight_on(merge_programs(program, def_rules(spec)), xs):

@@ -115,6 +115,22 @@ class TestTight:
         assert run(["tight", path, "--on", "p, q"]) == 0
         assert capsys.readouterr().out == "not tight on {p, q}; cycle: p -> p\n"
 
+    @pytest.mark.parametrize("on", [None, "a,b,c,d"])
+    def test_printed_cycle_does_not_depend_on_hash_order(self, program_file, on):
+        path = program_file("a :- b. b :- a. b :- c. c :- b. c :- d. d :- c. d :- d.\n")
+        argv = ["-m", "tightlp", "tight", path] + ([] if on is None else ["--on", on])
+        procs = [run_module(argv, PYTHONHASHSEED=seed) for seed in ("0", "1", "2")]
+        assert all(proc.returncode == 0 for proc in procs)
+        outs = {proc.stdout for proc in procs}
+        assert len(outs) == 1
+        head, _, shown = outs.pop().rstrip("\n").partition("; cycle: ")
+        assert head.startswith("not ")
+        cycle = shown.split(" -> ")
+        # parent graph on {a, b, c, d}: body literal -> head, for every rule
+        edges = {("b", "a"), ("a", "b"), ("c", "b"), ("b", "c"), ("d", "c"), ("c", "d"), ("d", "d")}
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert all(step in edges for step in zip(cycle, cycle[1:]))
+
     def test_inconsistent_set_rejected(self, program_file, capsys):
         assert run(["tight", program_file(DOUBLE_NEG), "--on", "p, -p"]) == 1
         assert "consistent" in capsys.readouterr().err
@@ -307,6 +323,21 @@ class TestGenerators:
         assert "path(1,2) :- edge(1,2)." in out
         assert "path(1,2) :- edge(1,1), path(1,2)." in out
         assert len(out.strip().splitlines()) == 12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-tc", "A", "b"],
+            ["gen-tc", "1", "-1"],
+            ["gen-tc", "1", "not"],
+            ["gen-blocks", "2", "1", "--names", "B1,b2"],
+        ],
+    )
+    def test_terms_the_parser_would_reject(self, argv, capsys):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid")
 
     def test_bad_board_size(self, capsys):
         assert run(["gen-queens", "0"]) == 1

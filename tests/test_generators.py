@@ -102,6 +102,11 @@ class TestBlocksSpec:
         with pytest.raises(ValueError):
             BlocksSpec(("a",), -1)
 
+    def test_block_names_must_read_back_as_terms(self):
+        for names in (("B1", "b2"), ("b1", "2"), ("not",), ("b-1",)):
+            with pytest.raises(ValueError, match="invalid block name"):
+                BlocksSpec(names, 1)
+
     def test_locations_append_the_table(self):
         assert BlocksSpec(("b", "a"), 0).locations == ("a", "b", "table")
 

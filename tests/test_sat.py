@@ -20,7 +20,6 @@ from tightlp import (
     TAG_TIGHT_ON_MODEL,
     TAG_VERIFIED,
     answer_sets_via_completion,
-    atom_set_key,
     clausify,
     DefSpec,
     completion,
@@ -160,10 +159,8 @@ class TestSolveAll:
     def test_exclusive_or(self):
         cnf = Cnf(2, ((1, 2), (-1, -2)), {Atom("a"): 1, Atom("b"): 2})
         report = solve_all(cnf)
-        assert report.models == (
-            frozenset({Atom("a")}),
-            frozenset({Atom("b")}),
-        )
+        assert set(report.models) == {frozenset({Atom("a")}), frozenset({Atom("b")})}
+        assert len(report.models) == 2
         assert report.stats.decisions >= 1
 
     def test_unsatisfiable(self):
@@ -224,7 +221,8 @@ class TestSolveAll:
                 if all(any((l > 0) == (abs(l) in true) for l in c) for c in clauses):
                     expected.add(frozenset(a for a, v in varmap.items() if v in true))
             report = solve_all(Cnf(n, clauses, varmap))
-            assert report.models == tuple(sorted(expected, key=atom_set_key))
+            assert set(report.models) == expected
+            assert len(report.models) == len(expected)
 
 
 class TestAnswerSetsViaCompletion:

@@ -45,6 +45,7 @@ from tightlp import (
     regular_literals,
     render,
     render_rule,
+    sorted_literal_sets,
 )
 
 
@@ -539,3 +540,21 @@ def test_literal_set_key_orders_by_size_then_atoms():
     small = frozenset({Literal(Atom("z"))})
     big = frozenset({Literal(Atom("a")), Literal(Atom("b"))})
     assert literal_set_key(small) < literal_set_key(big)
+
+
+def test_sorted_literal_sets_follows_literal_set_key():
+    rng = random.Random(41)
+    universe = [
+        Literal(Atom(name, args), negated)
+        for name in ("a", "b")
+        for args in ((), (1,), (10,), ("c",), (2, "c"))
+        for negated in (False, True)
+    ]
+    assert sorted_literal_sets([]) == []
+    for _ in range(400):
+        family = [frozenset()] + [
+            frozenset(rng.sample(universe, rng.randint(0, 4)))
+            for _ in range(rng.randint(0, 12))
+        ]
+        rng.shuffle(family)
+        assert sorted_literal_sets(family) == sorted(family, key=literal_set_key)

@@ -33,7 +33,7 @@ class TestDigraph:
         g = Digraph(frozenset("abc"), frozenset({("a", "b"), ("b", "a")}), )
         cycle = g.find_cycle(key=str)
         assert cycle in (["a", "b", "a"], ["b", "a", "b"])
-        assert not g.is_acyclic(key=str)
+        assert not g.is_acyclic()
 
     def test_self_loop_counts(self):
         g = Digraph(frozenset("a"), frozenset({("a", "a")}))
@@ -44,12 +44,64 @@ class TestDigraph:
             frozenset("abcd"),
             frozenset({("a", "b"), ("b", "c"), ("a", "c")}),
         )
-        assert g.longest_path_depths(key=str) == {"a": 0, "b": 1, "c": 2, "d": 0}
+        assert g.longest_path_depths() == {"a": 0, "b": 1, "c": 2, "d": 0}
 
     def test_longest_path_depths_refuse_a_cycle(self):
         g = Digraph(frozenset("abc"), frozenset({("a", "b"), ("b", "c"), ("c", "b")}))
         with pytest.raises(ValueError, match="acyclic"):
-            g.longest_path_depths(key=str)
+            g.longest_path_depths()
+
+
+def _on_a_cycle(vertices, edges) -> set:
+    """Vertices that reach themselves, by Warshall's closure of the edges."""
+    reach = set(edges)
+    for v in vertices:
+        for u in vertices:
+            if (u, v) in reach:
+                reach.update((u, w) for w in vertices if (v, w) in reach)
+    return {v for v in vertices if (v, v) in reach}
+
+
+def _depths_over_all_paths(vertices, edges) -> dict:
+    """Longest path ending at each vertex of an acyclic graph, by walking
+    every path from every vertex."""
+    depth = dict.fromkeys(vertices, 0)
+    paths = [[v] for v in vertices]
+    while paths:
+        path = paths.pop()
+        depth[path[-1]] = max(depth[path[-1]], len(path) - 1)
+        paths.extend(path + [w] for u, w in edges if u == path[-1])
+    return depth
+
+
+class TestDigraphAgainstBruteForce:
+    def test_random_graphs(self):
+        rng = random.Random(2024)
+        seen = {True: 0, False: 0}
+        for _ in range(600):
+            vertices = frozenset(range(rng.randint(0, 7)))
+            density = rng.uniform(0.0, 0.35)
+            edges = frozenset(
+                (u, w) for u in vertices for w in vertices if rng.random() < density
+            )
+            g = Digraph(vertices, edges)
+            cycle = g.find_cycle(key=None)
+            cyclic = bool(_on_a_cycle(vertices, edges))
+            seen[cyclic] += 1
+            assert (cycle is None) == (not cyclic)
+            assert g.is_acyclic() == (cycle is None)
+            if cyclic:
+                assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+                assert len(set(cycle)) == len(cycle) - 1
+                assert all(step in edges for step in zip(cycle, cycle[1:]))
+                with pytest.raises(ValueError, match="acyclic"):
+                    g.longest_path_depths()
+            else:
+                depths = g.longest_path_depths()
+                assert depths == _depths_over_all_paths(vertices, edges)
+                depths.clear()  # a copy: the graph keeps its own
+                assert len(g.longest_path_depths()) == len(vertices)
+        assert min(seen.values()) >= 150
 
 
 class TestParentGraph:

@@ -57,6 +57,34 @@ class TestDefSpec:
         with pytest.raises(ValueError):
             DefSpec(constants=(1,), p_name="p", tc_name="p")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"constants": ("A", "b")},
+            {"constants": (1, -1)},
+            {"constants": ("not",)},
+            {"constants": (True,)},
+            {"constants": (1.5,)},
+            {"constants": (1,), "p_extra_args": ("X",)},
+            {"constants": (1,), "tc_extra_args": ("true",)},
+        ],
+    )
+    def test_terms_must_read_back(self, fields):
+        with pytest.raises(ValueError, match="invalid term"):
+            DefSpec(**fields)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DefSpec(constants=(1,)),
+            DefSpec(constants=(0, "a", 12, "b_C2")),
+            DefSpec(constants=("x", "y"), p_name="on", tc_name="above",
+                    p_extra_args=(0,), tc_extra_args=("t2", 3)),
+        ],
+    )
+    def test_rendered_rules_parse_back(self, spec):
+        assert parse_program(render(def_rules(spec))) == def_rules(spec)
+
     def test_extra_args_reach_every_atom(self):
         spec = DefSpec(constants=("a", "b"), p_name="on", tc_name="above",
                        p_extra_args=(3,), tc_extra_args=(3,))
