@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .syntax import (
@@ -25,7 +26,7 @@ from .semantics import (
 from .completion import completion, render_completion
 from .sat import answer_sets_via_completion, clausify, to_dimacs
 from .tightness import (
-    lambda_witness,
+    lambda_witness,  # unused here; perfbench/tracing.py rebinds cli.lambda_witness
     parent_graph,
     positive_dependency_graph,
 )
@@ -70,15 +71,6 @@ def _print_sets(sets) -> None:
         print(format_literal_set(x))
 
 
-def _format_cycle(cycle) -> str:
-    return " -> ".join(str(l) for l in cycle)
-
-
-def _format_witness(witness) -> str:
-    items = sorted(witness.items(), key=lambda kv: literal_key(kv[0]))
-    return "lambda: " + ", ".join("%s=%d" % (l, d) for l, d in items)
-
-
 def _cmd_parse(args) -> int:
     print(render(_read_program(args.program)))
     return 0
@@ -92,27 +84,20 @@ def _cmd_complete(args) -> int:
 def _cmd_tight(args) -> int:
     program = _read_program(args.program)
     if args.on is None:
-        graph = positive_dependency_graph(program)
-        cycle = graph.find_cycle()
-        if cycle is None:
-            print("absolutely tight")
-            if graph.vertices:
-                print(_format_witness(graph.longest_path_depths()))
-            return 0
-        print("not absolutely tight; cycle: %s" % _format_cycle(cycle))
+        graph, verdict = positive_dependency_graph(program), "absolutely tight"
+    else:
+        x = parse_literals(args.on)
+        if not is_consistent(x):
+            raise ValueError("--on set must be consistent")
+        graph, verdict = parent_graph(program, x), "tight on %s" % format_literal_set(x)
+    cycle = graph.find_cycle()
+    if cycle is not None:
+        print("not %s; cycle: %s" % (verdict, " -> ".join(map(str, cycle))))
         return 0
-    x = parse_literals(args.on)
-    if not is_consistent(x):
-        raise ValueError("--on set must be consistent")
-    shown = format_literal_set(x)
-    witness = lambda_witness(program, x)
-    if witness is None:
-        cycle = parent_graph(program, x).find_cycle()
-        print("not tight on %s; cycle: %s" % (shown, _format_cycle(cycle)))
-        return 0
-    print("tight on %s" % shown)
-    if witness:
-        print(_format_witness(witness))
+    print(verdict)
+    if graph.vertices:
+        depths = sorted(graph.longest_path_depths().items(), key=lambda kv: literal_key(kv[0]))
+        print("lambda: " + ", ".join("%s=%d" % kv for kv in depths))
     return 0
 
 
@@ -184,7 +169,8 @@ def _cmd_gen_blocks(args) -> int:
 
 def _cmd_gen_tc(args) -> int:
     parts = [c.strip() for chunk in args.constants for c in chunk.split(",")]
-    constants = tuple(int(c) if c.isdigit() else c for c in parts if c)
+    # an integer is ASCII digits, as the parser reads it
+    constants = tuple(int(c) if c.isascii() and c.isdigit() else c for c in parts if c)
     spec = DefSpec(constants=constants, p_name=args.p_name, tc_name=args.tc_name)
     print(render(def_rules(spec)))
     return 0
@@ -245,6 +231,8 @@ def run(argv=None) -> int:
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 1
+    except BrokenPipeError:  # a closed stdout; main exits quietly
+        raise
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
@@ -258,4 +246,10 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(argv))
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; keep Python's flush at exit quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -420,14 +420,15 @@ class _Parser:
         self.pos = 0
         self.arities: dict[str, int] = {}
         self.arity_warned: set[str] = set()
-        # The one Atom, Literal and Lit of each value in this parse, so that
-        # equal ones are built once and later set lookups meet the same
-        # object.  Atoms are found by value or by the token that names them
-        # alone; positive Literals and Lits by their atom token, and any by
-        # the id of their part, which lives as long as the parse.
-        self.atoms: dict = {}
-        self.literals: dict = {}
-        self.lits: dict = {}
+        # The one Atom and Lit of each value in this parse (and so, through
+        # the Lit, the one Literal), so that later set lookups meet the same
+        # object.  The types never compare equal, so one table holds both; a
+        # Lit is also found by (negated, token) when that one token names
+        # its atom.
+        self.seen: dict = {}
+
+    def one(self, x):
+        return self.seen.setdefault(x, x)
 
     def accept(self, value: str) -> bool:
         """Consume the next token if it is value."""
@@ -468,16 +469,16 @@ class _Parser:
         return Program(tuple(rules), frozenset(declared))
 
     def literal_list(self) -> list[Literal]:
-        out = [self.literal()]
+        out = [self.lit().literal]
         while self.accept(","):
-            out.append(self.literal())
+            out.append(self.lit().literal)
         return out
 
     def choice_rule(self) -> Rule:
         self.expect("{")
         if self.tokens[self.pos] == "-":
             raise self.fail("classical negation is not allowed inside a choice")
-        lit = self.lit(self.literal())
+        lit = self.lit()
         if self.tokens[self.pos] in (",", ";"):
             raise self.fail(
                 "only a single atom is allowed inside a choice "
@@ -492,7 +493,7 @@ class _Parser:
     def rule(self) -> Rule:
         head = None
         if not self.accept(":-"):
-            head = self.literal()
+            head = self.lit().literal
             if self.accept("."):
                 return Rule(head, TRUE)
             self.expect(":-")
@@ -515,10 +516,6 @@ class _Parser:
 
     def unary(self) -> Formula:
         token = self.tokens[self.pos]
-        lit = self.lits.get(token)  # an atom token read before
-        if lit is not None:
-            self.pos += 1
-            return lit
         if token == "not":
             self.pos += 1
             return Not(self.unary())
@@ -530,45 +527,32 @@ class _Parser:
         if token == "true" or token == "false":
             self.pos += 1
             return TRUE if token == "true" else FALSE
-        lit = self.lit(self.literal())
-        if token[-1] == ")":
-            self.lits[token] = lit
-        return lit
+        return self.lit()
 
-    def lit(self, literal: Literal) -> Lit:
-        lit = self.lits.get(id(literal))
-        if lit is None:
-            lit = self.lits[id(literal)] = Lit(literal)
-        return lit
-
-    def literal(self) -> Literal:
-        token = self.tokens[self.pos]
-        literal = self.literals.get(token)  # an atom token read before
-        if literal is not None:
+    def lit(self) -> Lit:
+        """The one Lit of the literal at the next tokens."""
+        negated = self.tokens[self.pos] == "-"
+        index = self.pos = self.pos + negated
+        token = self.tokens[index]
+        lit = self.seen.get((negated, token))
+        if lit is None or self.tokens[index + 1] == "(":
+            lit = self.one(Lit(Literal(self.atom(), negated)))
+            if self.pos == index + 1:  # the one token names the atom
+                self.seen[negated, token] = lit
+        else:
             self.pos += 1
-            return literal
-        negated = token == "-"
-        self.pos += negated
-        atom = self.atom()
-        literal = self.literals.get((negated, id(atom)))
-        if literal is None:
-            literal = self.literals[negated, id(atom)] = Literal(atom, negated)
-        if token[-1] == ")":
-            self.literals[token] = literal
-        return literal
+        return lit
 
     def atom(self) -> Atom:
         token = self.tokens[self.pos]
-        # an atom token, or a name without arguments, read before
-        atom = self.atoms.get(token)
-        if atom is not None and (atom.args or self.tokens[self.pos + 1] != "("):
-            self.pos += 1
-            return atom
         if not "a" <= token[:1] <= "z" or token in _KEYWORDS:
             raise self.fail(f"expected an atom, found {self.found()!r}")
         index = self.pos
         self.pos += 1
         if token[-1] == ")":  # a whole ground atom
+            known = self.seen.get((False, token))  # read before, as a positive literal
+            if known is not None:
+                return known.literal.atom
             name, _, terms = token[:-1].partition("(")
             args = tuple(int(t) if t < "a" else t for t in terms.split(","))
         else:
@@ -580,11 +564,7 @@ class _Parser:
                 self.expect(")")
             args = tuple(args)
         self.record_arity(name, index, len(args))
-        atom = Atom(name, args)
-        atom = self.atoms.setdefault(atom, atom)
-        if token != name or not args:  # the token alone names the atom
-            self.atoms[token] = atom
-        return atom
+        return self.one(Atom(name, args))
 
     def term(self) -> Term:
         token = self.tokens[self.pos]

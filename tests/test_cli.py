@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import tightlp.cli
+import tightlp.tightness
 from tightlp.cli import run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -130,6 +132,26 @@ class TestTight:
         edges = {("b", "a"), ("a", "b"), ("c", "b"), ("b", "c"), ("d", "c"), ("c", "d"), ("d", "d")}
         assert len(cycle) >= 2 and cycle[0] == cycle[-1]
         assert all(step in edges for step in zip(cycle, cycle[1:]))
+
+    @pytest.mark.parametrize("on", [None, "a, b", "a", ""])
+    def test_one_graph_per_request(self, program_file, capsys, monkeypatch, on):
+        # counted wherever it is looked up, so a second build inside a helper shows
+        calls = []
+        for module in (tightlp.cli, tightlp.tightness):
+            for name in ("parent_graph", "positive_dependency_graph"):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(1) or real(*a))
+        path = program_file("a :- b. b :- a. c :- not a.\n")
+        assert run(["tight", path] + ([] if on is None else ["--on", on])) == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        expected = {
+            None: "not absolutely tight; cycle: a -> b -> a\n",
+            "a, b": "not tight on {a, b}; cycle: a -> b -> a\n",
+            "a": "tight on {a}\nlambda: a=0\n",
+            "": "tight on {}\n",
+        }
+        assert out == expected[on]
 
     def test_inconsistent_set_rejected(self, program_file, capsys):
         assert run(["tight", program_file(DOUBLE_NEG), "--on", "p, -p"]) == 1
@@ -339,5 +361,28 @@ class TestGenerators:
         assert captured.out == ""
         assert captured.err.startswith("error: invalid")
 
+    @pytest.mark.parametrize("constants", [["\u0663", "1"], ["\u00b2", "1"], ["1,\u0663"], ["\uff11"]])
+    def test_non_ascii_digits_are_not_integers(self, constants, capsys):
+        # the parser reads an integer as ASCII digits only
+        assert run(["gen-tc", *constants]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = next(c for c in ",".join(constants).split(",") if not c.isascii())
+        assert captured.err == "error: invalid term: %r\n" % bad
+
     def test_bad_board_size(self, capsys):
         assert run(["gen-queens", "0"]) == 1
+
+
+class TestClosedStdout:
+    def test_a_closed_stdout_exits_1_quietly(self):
+        # about 460 kB, several pipe buffers, so the write after the close fails
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "tightlp", "gen-tc", *map(str, range(1, 25))]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"tc(1,1) :- p(1,1).\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert err == b""
+        assert proc.returncode == 1

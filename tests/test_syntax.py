@@ -290,6 +290,50 @@ class TestAtomTokens:
         assert q.literal is r1.body.parts[2].literal is r2.head
         assert q1.literal == Literal(Atom("q", (1,)))
 
+    def test_equal_parts_are_one_object_in_random_programs(self):
+        rng = random.Random(14)
+        args = {"a": "(1,x)", "b": "(7)", "c": "", "d": "(y,20,z)", "e": ""}
+        name = lambda atom: atom + args[atom]
+        for _ in range(300):
+            prog = random_program(rng, n_atoms=5, classical=True, depth=3)
+            picked = [l for l in sorted(prog.universe, key=literal_key) if rng.random() < 0.3]
+            choices = rng.sample("abcde", rng.randint(0, 2))
+            text = "".join(
+                ["#universe %s.\n" % ", ".join(map(str, picked))] * bool(picked)
+                + [render(prog) + "\n"]
+                + ["{%s}.\n" % c for c in choices]
+            )
+            text = re.sub(r"\b[a-e]\b", lambda m: name(m.group()), text)
+            negated_first = ":- %s.\n" % ", ".join("-" + name(c) for c in rng.sample("abcde", 3))
+            plain = parse_program(text)
+            for variant in (
+                text,
+                text.replace("(", "( ").replace(",", ", ").replace(")", " )"),
+                re.sub(r"\b([0-9]+)\b", r"00\1", text),
+                negated_first + text,
+            ):
+                parsed = parse_program(variant)
+                assert parsed.rules[-len(plain.rules) :] == plain.rules, variant
+                assert parsed.declared == plain.declared
+                lits = lits_of(parsed)
+                literals = [*parsed.declared, *(r.head for r in parsed.rules if r.head)]
+                literals += [l.literal for l in lits]
+                for objects in (lits, literals, [l.atom for l in literals]):
+                    first = {}
+                    assert all(first.setdefault(x, x) is x for x in objects), variant
+
+    def test_a_literal_list_with_repeats_gives_one_object_per_value(self):
+        rng = random.Random(15)
+        pool = ["p(1,x)", "p( 1, x )", "p(01,x)", "-p(1,x)", "- p(1,x)", "q", "-q", "q(1)", "q( 1 )", "-q (1)"]
+        for _ in range(300):
+            picked = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ArityWarning)
+                x = parse_literals(", ".join(picked))
+            assert x == {l for s in picked for l in parse_literals(s)}
+            atoms = [l.atom for l in x]
+            assert len({id(a) for a in atoms}) == len(set(atoms))
+
     @pytest.mark.parametrize(
         "text, expected",
         [
