@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .syntax import (
     And,
     Atom,
-    Lit,
     Literal,
     Not,
     Program,
@@ -40,18 +39,18 @@ def queens_program(spec: QueensSpec) -> Program:
     rules: list[Rule] = []
     for r, c in itertools.product(rng, rng):
         q = _queen(r, c)
-        rules.append(Rule(q, Not(Not(Lit(q)))))
+        rules.append(Rule(q, Not(Not(q))))
     for c in rng:
-        rules.append(Rule(None, conj_of(Not(Lit(_queen(r, c))) for r in rng)))
+        rules.append(Rule(None, conj_of(Not(_queen(r, c)) for r in rng)))
     for c in rng:
         for r, r1 in itertools.combinations(rng, 2):
-            rules.append(Rule(None, And(Lit(_queen(r, c)), Lit(_queen(r1, c)))))
+            rules.append(Rule(None, And(_queen(r, c), _queen(r1, c))))
     for r in rng:
         for c, c1 in itertools.combinations(rng, 2):
-            rules.append(Rule(None, And(Lit(_queen(r, c)), Lit(_queen(r, c1)))))
+            rules.append(Rule(None, And(_queen(r, c), _queen(r, c1))))
     for r, r1, c, c1 in itertools.product(rng, rng, rng, rng):
         if c < c1 and abs(r - r1) == c1 - c:
-            rules.append(Rule(None, And(Lit(_queen(r, c)), Lit(_queen(r1, c1)))))
+            rules.append(Rule(None, And(_queen(r, c), _queen(r1, c1))))
     return Program(tuple(rules))
 
 
@@ -114,8 +113,8 @@ def _above(b: str, l: str, t: int) -> Literal:
 def _choice_pair(lit: Literal) -> tuple[Rule, Rule]:
     comp = Literal(lit.atom, not lit.negated)
     return (
-        Rule(lit, Not(Lit(comp))),
-        Rule(comp, Not(Lit(lit))),
+        Rule(lit, Not(comp)),
+        Rule(comp, Not(lit)),
     )
 
 
@@ -134,47 +133,37 @@ def blocksworld_program(spec: BlocksSpec) -> Program:
             rules.extend(_choice_pair(_move(b, l, t)))
     for t in range(T):
         for b, l in itertools.product(blocks, locs):
-            rules.append(Rule(_on(b, l, t + 1), Lit(_move(b, l, t))))
+            rules.append(Rule(_on(b, l, t + 1), _move(b, l, t)))
             rules.append(
-                Rule(
-                    _on(b, l, t + 1),
-                    And(Lit(_on(b, l, t)), Not(Lit(_on(b, l, t + 1, neg=True)))),
-                )
+                Rule(_on(b, l, t + 1), And(_on(b, l, t), Not(_on(b, l, t + 1, neg=True))))
             )
     for t in range(T + 1):
         for b, l, l1 in itertools.product(blocks, locs, locs):
             if l != l1:
-                rules.append(Rule(_on(b, l, t, neg=True), Lit(_on(b, l1, t))))
+                rules.append(Rule(_on(b, l, t, neg=True), _on(b, l1, t)))
     for t in range(T + 1):
         for b, b1, b2 in itertools.product(blocks, blocks, blocks):
             if b != b1:
-                rules.append(Rule(None, And(Lit(_on(b, b2, t)), Lit(_on(b1, b2, t)))))
+                rules.append(Rule(None, And(_on(b, b2, t), _on(b1, b2, t))))
     for t in range(T):
         for b, l, b1 in itertools.product(blocks, locs, blocks):
-            rules.append(Rule(None, And(Lit(_move(b, l, t)), Lit(_on(b1, b, t)))))
+            rules.append(Rule(None, And(_move(b, l, t), _on(b1, b, t))))
     for t in range(T):
         for b, l in itertools.product(blocks, locs):
             for b1, l1 in itertools.product(blocks, locs):
                 if (b, l) != (b1, l1):
-                    rules.append(
-                        Rule(None, And(Lit(_move(b, l, t)), Lit(_move(b1, l1, t))))
-                    )
+                    rules.append(Rule(None, And(_move(b, l, t), _move(b1, l1, t))))
     for t in range(T + 1):
         for b, l in itertools.product(blocks, locs):
-            rules.append(Rule(_above(b, l, t), Lit(_on(b, l, t))))
+            rules.append(Rule(_above(b, l, t), _on(b, l, t)))
         for b, b1, l in itertools.product(blocks, blocks, locs):
-            rules.append(
-                Rule(
-                    _above(b, l, t),
-                    And(Lit(_on(b, b1, t)), Lit(_above(b1, l, t))),
-                )
-            )
+            rules.append(Rule(_above(b, l, t), And(_on(b, b1, t), _above(b1, l, t))))
     for t in range(T + 1):
         for b in blocks:
-            rules.append(Rule(None, Lit(_above(b, b, t))))
+            rules.append(Rule(None, _above(b, b, t)))
     for t in range(T + 1):
         for b in blocks:
-            rules.append(Rule(None, Not(Lit(_above(b, "table", t)))))
+            rules.append(Rule(None, Not(_above(b, "table", t))))
     return Program(tuple(rules))
 
 

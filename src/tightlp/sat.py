@@ -10,7 +10,6 @@ from .syntax import (
     Atom,
     Bottom,
     Formula,
-    Lit,
     Literal,
     Not,
     Or,
@@ -101,8 +100,8 @@ def clausify(comp: Completion) -> Cnf:
         got = cache.get(f)
         if got is not None:
             return got
-        if isinstance(f, Lit):
-            out = varmap[f.literal.atom]
+        if isinstance(f, Literal):
+            out = varmap[f.atom]
         elif isinstance(f, Top):
             out = const_true()
         elif isinstance(f, Bottom):

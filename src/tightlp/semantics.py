@@ -11,7 +11,6 @@ from .syntax import (
     And,
     Bottom,
     Formula,
-    Lit,
     Literal,
     Not,
     Or,
@@ -41,8 +40,8 @@ def satisfies(x: frozenset[Literal], formula: Formula) -> bool:
     """Truth of a formula in a consistent set of literals, with ``not`` read
     classically.  Consistency of x is a precondition and is not checked here.
     """
-    if isinstance(formula, Lit):
-        return formula.literal in x
+    if isinstance(formula, Literal):
+        return formula in x
     if isinstance(formula, Not):
         return not satisfies(x, formula.operand)
     if isinstance(formula, And):
@@ -143,8 +142,8 @@ class AnswerSetChecker:
         nodes: dict[Formula, int] = {}
 
         def node(f: Formula) -> int:
-            if isinstance(f, Lit):
-                return self.ids[f.literal]
+            if isinstance(f, Literal):
+                return self.ids[f]
             if f not in nodes:
                 parts = [node(p) for p in f.parts] if isinstance(f, (And, Or)) else ()
                 v = nodes[f] = len(self.need)

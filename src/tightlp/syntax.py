@@ -33,6 +33,15 @@ class ArityWarning(UserWarning):
     """A predicate is used with more than one arity."""
 
 
+class Formula:
+    """Base class for rule bodies: a literal, true, false, or a connective."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return render_formula(self)
+
+
 @dataclass(frozen=True)
 class Atom:
     predicate: str
@@ -57,7 +66,7 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Literal:
+class Literal(Formula):
     """An atom or its classical negation (rendered with a ``-`` prefix)."""
 
     atom: Atom
@@ -112,20 +121,6 @@ def sorted_literal_sets(sets: Iterable[frozenset[Literal]]) -> list[frozenset[Li
 
 def format_literal_set(x: Iterable[Literal]) -> str:
     return "{%s}" % ", ".join(str(l) for l in sorted(x, key=literal_key))
-
-
-class Formula:
-    """Base class for rule bodies."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return render_formula(self)
-
-
-@dataclass(frozen=True)
-class Lit(Formula):
-    literal: Literal
 
 
 @dataclass(frozen=True)
@@ -213,8 +208,8 @@ def regular_literals(formula: Formula) -> frozenset[Literal]:
     stack = [formula]
     while stack:
         f = stack.pop()
-        if isinstance(f, Lit):
-            out.add(f.literal)
+        if isinstance(f, Literal):
+            out.add(f)
         elif isinstance(f, Not):
             stack.append(f.operand)
         elif isinstance(f, (And, Or)):
@@ -228,8 +223,8 @@ def positive_literals(formula: Formula) -> frozenset[Literal]:
     stack = [formula]
     while stack:
         f = stack.pop()
-        if isinstance(f, Lit):
-            out.add(f.literal)
+        if isinstance(f, Literal):
+            out.add(f)
         elif isinstance(f, (And, Or)):
             stack.extend(f.parts)
     return frozenset(out)
@@ -298,16 +293,16 @@ def merge_programs(*programs: Program) -> Program:
 # negation leaves bare, and the infix text and binding strength of And and Or.
 # A rule body reads ``not``/``,``/``;`` with And binding tighter; the
 # completion reads the same formula classically, with neither binding tighter.
-RULE_STYLE = ("not ", (Lit, Top, Bottom, Not), {And: (", ", 2), Or: ("; ", 1)})
-COMPLETION_STYLE = ("-", (Lit, Top, Bottom), {And: (" & ", 1), Or: (" | ", 1)})
+RULE_STYLE = ("not ", (Literal, Top, Bottom, Not), {And: (", ", 2), Or: ("; ", 1)})
+COMPLETION_STYLE = ("-", (Literal, Top, Bottom), {And: (" & ", 1), Or: (" | ", 1)})
 
 
 def render_formula(f: Formula, style: tuple = RULE_STYLE) -> str:
     """Text of a formula; a part of And or Or is parenthesized unless it binds
     tighter than its parent (only a later part can have the same connective,
     so ``a, (b, c)`` keeps its parentheses)."""
-    if isinstance(f, Lit):
-        return ("-%s" if f.literal.negated else "%s") % f.literal.atom
+    if isinstance(f, Literal):
+        return str(f)
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Bottom):
@@ -420,11 +415,10 @@ class _Parser:
         self.pos = 0
         self.arities: dict[str, int] = {}
         self.arity_warned: set[str] = set()
-        # The one Atom and Lit of each value in this parse (and so, through
-        # the Lit, the one Literal), so that later set lookups meet the same
-        # object.  The types never compare equal, so one table holds both; a
-        # Lit is also found by (negated, token) when that one token names
-        # its atom.
+        # The one Atom and Literal of each value in this parse, so that later
+        # set lookups meet the same object.  The types never compare equal,
+        # so one table holds both; a Literal is also found by (negated, token)
+        # when that one token names its atom.
         self.seen: dict = {}
 
     def one(self, x):
@@ -469,9 +463,9 @@ class _Parser:
         return Program(tuple(rules), frozenset(declared))
 
     def literal_list(self) -> list[Literal]:
-        out = [self.lit().literal]
+        out = [self.lit()]
         while self.accept(","):
-            out.append(self.lit().literal)
+            out.append(self.lit())
         return out
 
     def choice_rule(self) -> Rule:
@@ -488,12 +482,12 @@ class _Parser:
         if self.tokens[self.pos] == ":-":
             raise self.fail("a choice rule cannot have a body")
         self.expect(".")
-        return Rule(lit.literal, Not(Not(lit)))
+        return Rule(lit, Not(Not(lit)))
 
     def rule(self) -> Rule:
         head = None
         if not self.accept(":-"):
-            head = self.lit().literal
+            head = self.lit()
             if self.accept("."):
                 return Rule(head, TRUE)
             self.expect(":-")
@@ -529,14 +523,14 @@ class _Parser:
             return TRUE if token == "true" else FALSE
         return self.lit()
 
-    def lit(self) -> Lit:
-        """The one Lit of the literal at the next tokens."""
+    def lit(self) -> Literal:
+        """The one Literal at the next tokens."""
         negated = self.tokens[self.pos] == "-"
         index = self.pos = self.pos + negated
         token = self.tokens[index]
         lit = self.seen.get((negated, token))
         if lit is None or self.tokens[index + 1] == "(":
-            lit = self.one(Lit(Literal(self.atom(), negated)))
+            lit = self.one(Literal(self.atom(), negated))
             if self.pos == index + 1:  # the one token names the atom
                 self.seen[negated, token] = lit
         else:
@@ -552,7 +546,7 @@ class _Parser:
         if token[-1] == ")":  # a whole ground atom
             known = self.seen.get((False, token))  # read before, as a positive literal
             if known is not None:
-                return known.literal.atom
+                return known.atom
             name, _, terms = token[:-1].partition("(")
             args = tuple(int(t) if t < "a" else t for t in terms.split(","))
         else:
@@ -623,8 +617,8 @@ def is_normal(program: Program) -> bool:
 
 
 def _map_formula(f: Formula, table: dict[Literal, Literal]) -> Formula:
-    if isinstance(f, Lit):
-        return Lit(table.get(f.literal, f.literal))
+    if isinstance(f, Literal):
+        return table.get(f, f)
     if isinstance(f, Not):
         return Not(_map_formula(f.operand, table))
     if isinstance(f, (And, Or)):
@@ -658,7 +652,7 @@ def eliminate_classical_negation(program: Program) -> tuple[Program, dict[Atom, 
         primed = Literal(Atom(fresh, atom.args))
         table[negated[atom]] = primed
         mapping[primed.atom] = negated[atom]
-        constraints.append(Rule(None, And(Lit(Literal(atom)), Lit(primed))))
+        constraints.append(Rule(None, And(Literal(atom), primed)))
 
     rules = [
         Rule(

@@ -10,7 +10,6 @@ from typing import Iterable
 from .syntax import (
     And,
     Atom,
-    Lit,
     Literal,
     Program,
     Rule,
@@ -74,17 +73,11 @@ def _pair_literals(spec: DefSpec) -> tuple[dict[Pair, Literal], dict[Pair, Liter
 def def_rules(spec: DefSpec) -> Program:
     """tc as the transitive closure of p, ground over the constants:
     tc(x,y) :- p(x,y) and tc(x,y) :- p(x,v), tc(v,y)."""
+    p, tc = _pair_literals(spec)
     c = spec.constants
-    rules = [
-        Rule(Literal(spec.tc_atom(x, y)), Lit(Literal(spec.p_atom(x, y))))
-        for x, y in itertools.product(c, c)
-    ]
+    rules = [Rule(tc[x, y], p[x, y]) for x, y in itertools.product(c, c)]
     rules.extend(
-        Rule(
-            Literal(spec.tc_atom(x, y)),
-            And(Lit(Literal(spec.p_atom(x, v))), Lit(Literal(spec.tc_atom(v, y)))),
-        )
-        for x, y, v in itertools.product(c, c, c)
+        Rule(tc[x, y], And(p[x, v], tc[v, y])) for x, y, v in itertools.product(c, c, c)
     )
     return Program(tuple(rules))
 
@@ -179,8 +172,9 @@ def check_constrained_acyclicity(
     returns the well-foundedness."""
     xs = frozenset(x)
     rule_set = program.rule_set
+    tc = _pair_literals(spec)[1]
     for c in spec.constants:
-        needed = Rule(None, Lit(Literal(spec.tc_atom(c, c))))
+        needed = Rule(None, tc[c, c])
         if needed not in rule_set:
             raise ValueError(f"missing irreflexivity constraint: {needed}")
     if not is_consistent(xs):

@@ -8,7 +8,6 @@ from tightlp import (
     TRUE,
     And,
     Atom,
-    Lit,
     Literal,
     Not,
     Or,
@@ -28,7 +27,7 @@ def random_formula(rng: random.Random, literals, depth: int):
             return TRUE
         if roll < 0.12:
             return FALSE
-        return Lit(rng.choice(literals))
+        return rng.choice(literals)
     kind = rng.choice(("not", "and", "and", "or"))
     if kind == "not":
         return Not(random_formula(rng, literals, depth - 1))

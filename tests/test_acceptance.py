@@ -14,7 +14,6 @@ from tightlp import (
     Atom,
     BlocksSpec,
     DefSpec,
-    Lit,
     Literal,
     Program,
     QueensSpec,
@@ -246,7 +245,7 @@ def test_criterion_6_transitive_closure_suite():
 
         prog_b2 = Program(
             tuple(
-                Rule(Literal(spec2.p_atom(a, b)), Lit(Literal(spec2.tc_atom(a, b))))
+                Rule(Literal(spec2.p_atom(a, b)), Literal(spec2.tc_atom(a, b)))
                 for a, b in itertools.product((1, 2), repeat=2)
             )
         )

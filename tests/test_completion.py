@@ -10,7 +10,6 @@ from tightlp import (
     FALSE,
     And,
     Atom,
-    Lit,
     Literal,
     Not,
     Or,
@@ -50,7 +49,7 @@ class TestCompletionStructure:
         comp = completion(parse_program("p :- q.\np :- not r.\n:- p, q."))
         p, q, r = Atom("p"), Atom("q"), Atom("r")
         assert comp.atoms == (p, q, r)
-        lp, lq, lr = (Lit(Literal(a)) for a in (p, q, r))
+        lp, lq, lr = (Literal(a) for a in (p, q, r))
         entries = dict(comp.entries)
         assert entries[p] == Or(lq, Not(lr))
         assert entries[q] == FALSE
@@ -78,7 +77,7 @@ class TestRendering:
         )
 
     def test_render_prop_parenthesizes_mixed_operators(self):
-        p, q, r = (Lit(Literal(Atom(n))) for n in "pqr")
+        p, q, r = (Literal(Atom(n)) for n in "pqr")
 
         def show(f):
             return render_formula(f, COMPLETION_STYLE)

@@ -12,7 +12,6 @@ from tightlp import (
     Atom,
     CapacityError,
     EnumerationBoundError,
-    Lit,
     Literal,
     Program,
     Rule,

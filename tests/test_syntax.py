@@ -20,7 +20,6 @@ from tightlp import (
     Atom,
     BlocksSpec,
     DefSpec,
-    Lit,
     Literal,
     Not,
     Or,
@@ -96,11 +95,11 @@ class TestAtomsAndLiterals:
         assert complement(complement(lit)) == lit
 
     def test_complementary_lits_stay_distinct(self):
-        pos, neg = Lit(Literal(Atom("q"))), Lit(Literal(Atom("q"), True))
-        assert pos == Lit(Literal(Atom("q")))
-        assert hash(pos) == hash(Lit(Literal(Atom("q"))))
+        pos, neg = Literal(Atom("q")), Literal(Atom("q"), True)
+        assert pos == Literal(Atom("q"))
+        assert hash(pos) == hash(Literal(Atom("q")))
         assert pos != neg
-        assert len({pos, neg, Lit(Literal(Atom("q")))}) == 2
+        assert len({pos, neg, Literal(Atom("q"))}) == 2
 
     def test_format_literal_set(self):
         lits = [Literal(Atom("q"), True), Literal(Atom("p"))]
@@ -118,21 +117,21 @@ class TestParsing:
         prog = p(":- p, q.")
         (rule,) = prog.rules
         assert rule.is_constraint
-        assert rule.body == And(Lit(Literal(Atom("p"))), Lit(Literal(Atom("q"))))
+        assert rule.body == And(Literal(Atom("p")), Literal(Atom("q")))
 
     def test_nested_body_structure(self):
-        a, b, c = (Lit(Literal(Atom(n))) for n in "abc")
+        a, b, c = (Literal(Atom(n)) for n in "abc")
         assert body("not (a; not b), c") == And(Not(Or(a, Not(b))), c)
         assert body("not not a") == Not(Not(a))
         assert body("true, false") == And(TRUE, FALSE)
 
     def test_connectives_associate_left(self):
-        a, b, c = (Lit(Literal(Atom(n))) for n in "abc")
+        a, b, c = (Literal(Atom(n)) for n in "abc")
         assert body("a, b, c") == And(And(a, b), c)
         assert body("a; b; c") == Or(Or(a, b), c)
 
     def test_a_list_is_one_node(self):
-        a, b, c = (Lit(Literal(Atom(n))) for n in "abc")
+        a, b, c = (Literal(Atom(n)) for n in "abc")
         assert And(And(a, b), c) == And(a, b, c)
         assert And(And(a, b), c).parts == (a, b, c)
         assert body("a; b; c").parts == (a, b, c)
@@ -141,7 +140,7 @@ class TestParsing:
             Or(a)
 
     def test_a_later_part_stays_nested(self):
-        a, b, c = (Lit(Literal(Atom(n))) for n in "abc")
+        a, b, c = (Literal(Atom(n)) for n in "abc")
         right = And(a, And(b, c))
         assert right.parts == (a, And(b, c))
         assert right != And(a, b, c)
@@ -152,12 +151,12 @@ class TestParsing:
         prog = p("-q :- not p.")
         (rule,) = prog.rules
         assert rule.head == Literal(Atom("q"), True)
-        assert rule.body == Not(Lit(Literal(Atom("p"))))
+        assert rule.body == Not(Literal(Atom("p")))
 
     def test_choice_expands_to_double_negation(self):
         prog = p("{a}.")
         lit = Literal(Atom("a"))
-        assert prog.rules == (Rule(lit, Not(Not(Lit(lit)))),)
+        assert prog.rules == (Rule(lit, Not(Not(lit))),)
         assert render(prog) == "a :- not not a."
 
     @pytest.mark.parametrize(
@@ -220,13 +219,13 @@ class TestParsing:
             parse_literals("p q")
 
 
-def lits_of(prog: Program) -> list[Lit]:
-    """Every ``Lit`` occurrence in the rule bodies."""
+def lits_of(prog: Program) -> list[Literal]:
+    """Every ``Literal`` occurrence in the rule bodies."""
     out = []
     stack = [r.body for r in prog.rules]
     while stack:
         f = stack.pop()
-        if isinstance(f, Lit):
+        if isinstance(f, Literal):
             out.append(f)
         stack.extend([f.operand] if isinstance(f, Not) else getattr(f, "parts", ()))
     return out
@@ -262,13 +261,19 @@ class TestAtomTokens:
             "-q(1) :- not not r, p(1,2).\n{p(1,2)}.\nr :- -q(1), r."
         )
         lits = lits_of(prog)
-        literals = [*prog.declared, *(r.head for r in prog.rules if r.head), *(l.literal for l in lits)]
+        literals = [*prog.declared, *(r.head for r in prog.rules if r.head), *lits]
         for objects in (lits, literals, [l.atom for l in literals]):
             for x in objects:
                 assert all(x is y for y in objects if x == y), x
         x = parse_literals("p(1,2), -q(1), p(1, 2), p(1,2), -q(1)")
         assert len(x) == 2
         assert len({id(l.atom) for l in x}) == 2
+
+    def test_a_head_and_its_body_occurrences_are_one_object(self):
+        (rule,) = p("p :- p, not p.").rules
+        assert rule.head is rule.body.parts[0] is rule.body.parts[1].operand
+        (choice,) = p("{p}.").rules
+        assert choice.head is choice.body.operand.operand
 
     def test_an_atom_token_read_again_is_the_same_object(self):
         with pytest.warns(ArityWarning):
@@ -278,17 +283,17 @@ class TestAtomTokens:
                 "-p(1,2) :- not p(1,2), q, q (1)."
             ).rules
         pos, neg = r1.body.parts[0], r2.body.parts[1]
-        assert pos.literal == Literal(Atom("p", (1, 2)))
-        assert neg.literal == Literal(Atom("p", (1, 2)), True)
+        assert pos == Literal(Atom("p", (1, 2)))
+        assert neg == Literal(Atom("p", (1, 2)), True)
         for lit in (r1.body.parts[1].operand, r2.body.parts[0], r2.body.parts[3], r3.body.parts[0].operand):
             assert lit is pos
         assert r2.body.parts[2].operand is neg
-        assert r1.head is pos.literal and r3.head is neg.literal
-        assert neg.literal.atom is pos.literal.atom
+        assert r1.head is pos and r3.head is neg
+        assert neg.atom is pos.atom
         # a name without arguments is one object too, and not the atom q(1)
         q, q1 = r3.body.parts[1:]
-        assert q.literal is r1.body.parts[2].literal is r2.head
-        assert q1.literal == Literal(Atom("q", (1,)))
+        assert q is r1.body.parts[2] is r2.head
+        assert q1 == Literal(Atom("q", (1,)))
 
     def test_equal_parts_are_one_object_in_random_programs(self):
         rng = random.Random(14)
@@ -317,7 +322,7 @@ class TestAtomTokens:
                 assert parsed.declared == plain.declared
                 lits = lits_of(parsed)
                 literals = [*parsed.declared, *(r.head for r in parsed.rules if r.head)]
-                literals += [l.literal for l in lits]
+                literals += lits
                 for objects in (lits, literals, [l.atom for l in literals]):
                     first = {}
                     assert all(first.setdefault(x, x) is x for x in objects), variant

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from tightlp import (
+    And,
     Atom,
     DefSpec,
-    Lit,
     Literal,
     Program,
     Rule,
@@ -31,6 +31,7 @@ from tightlp import (
     tc_extent,
     warshall,
 )
+from tightlp.transitive_closure import _pair_literals
 
 SPEC12 = DefSpec(constants=(1, 2))
 
@@ -100,9 +101,17 @@ class TestDefRules:
 
     def test_base_and_step_shapes(self):
         rules = def_rules(SPEC12).rule_set
-        assert Rule(tclit(SPEC12, 1, 2), Lit(plit(SPEC12, 1, 2))) in rules
+        assert Rule(tclit(SPEC12, 1, 2), plit(SPEC12, 1, 2)) in rules
         step = parse_program("tc(1,2) :- p(1,1), tc(1,2).").rules[0]
         assert step in rules
+
+    def test_rules_are_built_from_the_pair_literals(self):
+        spec = DefSpec(constants=(1, 2, "x"))
+        p_lits, tc_lits = _pair_literals(spec)
+        own = {id(l) for l in (*p_lits.values(), *tc_lits.values())}
+        for r in def_rules(spec).rules:
+            parts = r.body.parts if isinstance(r.body, And) else (r.body,)
+            assert all(id(l) in own for l in (r.head, *parts)), r
 
     def test_definition_is_never_absolutely_tight_but_text_is_stable(self):
         prog = def_rules(SPEC12)
@@ -201,7 +210,7 @@ class TestTightnessPreservation:
 
     def test_closure_feeding_the_base_fails_ancestor_condition(self):
         rules = tuple(
-            Rule(plit(SPEC12, a, b), Lit(tclit(SPEC12, a, b)))
+            Rule(plit(SPEC12, a, b), tclit(SPEC12, a, b))
             for a, b in itertools.product((1, 2), repeat=2)
         )
         prog = Program(rules)
