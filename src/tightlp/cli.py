@@ -11,6 +11,7 @@ from .syntax import (
     ParseError,
     Program,
     format_literal_set,
+    format_literal_sets,
     literal_key,
     parse_literals,
     parse_program,
@@ -66,9 +67,8 @@ def _read_program(path: str) -> Program:
         return parse_program(fh.read())
 
 
-def _print_sets(sets) -> None:
-    for x in sets:
-        print(format_literal_set(x))
+def _print_lines(lines, file=None) -> None:
+    (file or sys.stdout).write("".join(line + "\n" for line in lines))
 
 
 def _cmd_parse(args) -> int:
@@ -116,16 +116,17 @@ def _cmd_solve(args) -> int:
             ),
             file=sys.stderr,
         )
-        for x, tag in zip(result.answer_sets, result.tags):
-            print("trace: %s accepted [%s]" % (format_literal_set(x), tag), file=sys.stderr)
-        for x in result.dropped:
-            fixpoint = _reduct_fixpoint_note(program, x)
-            print(
-                "trace: %s dropped (not an answer set%s)"
-                % (format_literal_set(x), fixpoint),
-                file=sys.stderr,
-            )
-    _print_sets(result.answer_sets)
+    # one literal order for every set the request prints
+    lines = format_literal_sets(result.answer_sets + (result.dropped if args.trace else ()))
+    accepted = lines[: len(result.answer_sets)]
+    if args.trace:
+        trace = ["trace: %s accepted [%s]" % pair for pair in zip(accepted, result.tags)]
+        trace += [
+            "trace: %s dropped (not an answer set%s)" % (text, _reduct_fixpoint_note(program, x))
+            for text, x in zip(lines[len(accepted) :], result.dropped)
+        ]
+        _print_lines(trace, sys.stderr)
+    _print_lines(accepted)
     return 0
 
 
@@ -138,7 +139,8 @@ def _reduct_fixpoint_note(program, x) -> str:
 
 def _cmd_enumerate(args) -> int:
     program = _read_program(args.program)
-    _print_sets(enumerate_answer_sets_bruteforce(program, bound=args.brute_bound))
+    sets = enumerate_answer_sets_bruteforce(program, bound=args.brute_bound)
+    _print_lines(format_literal_sets(sets))
     return 0
 
 
@@ -197,7 +199,14 @@ def build_parser() -> _ArgumentParser:
     p = add_program_cmd("tight", _cmd_tight, "tightness verdict")
     p.add_argument("--on", help="comma-separated literals; check tightness on this set")
     p = add_program_cmd("solve", _cmd_solve, "answer sets via completion and SAT")
-    p.add_argument("--max-models", type=_non_negative_int, default=10000)
+    p.add_argument(
+        "--max-models",
+        type=_non_negative_int,
+        default=10000,
+        metavar="N",
+        help="exit 2 once more than N completion models exist, dropped ones included "
+        "(default 10000)",
+    )
     p.add_argument("--trace", action="store_true", help="log acceptance details to stderr")
     p = add_program_cmd("enumerate", _cmd_enumerate, "answer sets by brute force")
     p.add_argument("--brute-bound", type=_non_negative_int, default=24)

@@ -121,6 +121,48 @@ def minimal_closed_set(program: Program) -> frozenset[Literal] | None:
     return cur
 
 
+def _strongly_connected_components(succ: list[list[int]]) -> list[int]:
+    """The component of each vertex 0..n-1 of a graph given by its successor
+    lists, named by one of its vertices.  Tarjan's algorithm, with an
+    explicit stack so that a long path does not recurse."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    path: list[int] = []  # visited vertices not yet in a component
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        work = [(root, iter(succ[root]))]
+        path.append(root)
+        count += 1
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    path.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0:  # w is on the path: a back or cross edge within v's component
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = path.pop()
+                        comp[w] = v
+                        if w == v:
+                            break
+    return comp
+
+
 class AnswerSetChecker:
     """A program compiled once, for deciding many sets of its literals.
 
@@ -129,6 +171,12 @@ class AnswerSetChecker:
     each ``not F`` is a leaf read classically in the set.  A node's ``need``
     counts the parts still to fire (Dowling & Gallier): all of an And, one
     of an Or, a head's first rule.
+
+    A cycle of the parent relation is a cycle of the positive dependency
+    graph, so it lies in one of that graph's strongly connected components.
+    ``cyclic_rules`` maps each head to the rules whose body has a positive
+    literal in the head's own component, each with those literals only:
+    exactly the edges that can lie on a cycle, self-loops included.
     """
 
     def __init__(self, program: Program):
@@ -137,7 +185,6 @@ class AnswerSetChecker:
         n = self.sink = len(self.literals)
         self.need = [1] * (n + 1)
         self.up: list[list[int]] = [[] for _ in self.need]  # junctions and rule heads
-        self.rules_by_head: list[list[tuple]] = [[] for _ in self.need]
         self.leaves: list[tuple] = []  # (node, F) for ``not F``, (node, None) for true
         nodes: dict[Formula, int] = {}
 
@@ -155,11 +202,22 @@ class AnswerSetChecker:
                     self.leaves.append((v, f.operand if isinstance(f, Not) else None))
             return nodes[f]
 
+        rules = []  # (head, body, positive body literals) of each rule
+        succ: list[list[int]] = [[] for _ in range(n)]
         for r in program.rules:
             head = n if r.head is None else self.ids[r.head]
             self.up[node(r.body)].append(head)
-            pos = [self.ids[l] for l in positive_literals(r.body)]
-            self.rules_by_head[head].append((r.body, pos))
+            if r.head is not None:
+                pos = [self.ids[l] for l in positive_literals(r.body)]
+                rules.append((head, r.body, pos))
+                for l in pos:
+                    succ[l].append(head)
+        comp = _strongly_connected_components(succ)
+        self.cyclic_rules: dict[int, list[tuple]] = {}
+        for head, body, pos in rules:
+            inside = [l for l in pos if comp[l] == comp[head]]
+            if inside:
+                self.cyclic_rules.setdefault(head, []).append((body, inside))
 
     def is_reduct_fixpoint(self, x: frozenset[Literal]) -> bool:
         """x is the least fixpoint of the reduct relative to x, and fires no
@@ -179,24 +237,25 @@ class AnswerSetChecker:
 
     def is_tight_on(self, x: frozenset[Literal]) -> bool:
         """No cycle in the parent relation relative to x, by Kahn's algorithm
-        on the edges of the rules with head in x and body true in x."""
+        on the edges of the cyclic rules with head in x and body true in x."""
         xs = {self.ids[l] for l in x}
+        heads = xs.intersection(self.cyclic_rules)
         succ: dict[int, list[int]] = {}
-        waiting = dict.fromkeys(xs, 0)
-        for h in xs:
-            for body, pos in self.rules_by_head[h]:
+        waiting = dict.fromkeys(heads, 0)
+        for h in heads:
+            for body, pos in self.cyclic_rules[h]:
                 parents = xs.intersection(pos)
                 if parents and satisfies(x, body):
                     for l in parents:
                         succ.setdefault(l, []).append(h)
                         waiting[h] += 1
-        ready = [v for v in xs if not waiting[v]]
+        ready = [v for v in heads if not waiting[v]]
         for v in ready:
             for w in succ.get(v, ()):
                 waiting[w] -= 1
                 if not waiting[w]:
                     ready.append(w)
-        return len(ready) == len(xs)
+        return len(ready) == len(heads)
 
 
 def is_answer_set(x: frozenset[Literal], program: Program) -> bool:

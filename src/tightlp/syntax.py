@@ -112,15 +112,32 @@ def literal_set_key(x: Iterable[Literal]):
     return (len(lits), lits)
 
 
+def literal_ranks(sets: Iterable[frozenset[Literal]]) -> dict[Literal, int]:
+    """Each literal of the sets numbered in literal_key order, which is also
+    the dict's order; literal_key is called once per literal."""
+    return {l: i for i, l in enumerate(sorted(set().union(*sets), key=literal_key))}
+
+
 def sorted_literal_sets(sets: Iterable[frozenset[Literal]]) -> list[frozenset[Literal]]:
-    """The sets in literal_set_key order, with literal_key called once per literal."""
+    """The sets in literal_set_key order, compared by their literals' ranks."""
     sets = list(sets)
-    rank = {l: i for i, l in enumerate(sorted(set().union(*sets), key=literal_key))}
+    rank = literal_ranks(sets)
     return sorted(sets, key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))
 
 
 def format_literal_set(x: Iterable[Literal]) -> str:
     return "{%s}" % ", ".join(str(l) for l in sorted(x, key=literal_key))
+
+
+def format_literal_sets(sets: Iterable[frozenset[Literal]]) -> list[str]:
+    """format_literal_set of each set, with each literal ranked and rendered
+    once for all of them."""
+    sets = list(sets)
+    rank = literal_ranks(sets)
+    text = list(map(str, rank))
+    return [
+        "{%s}" % ", ".join([text[i] for i in sorted(map(rank.__getitem__, s))]) for s in sets
+    ]
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,18 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import consistent_subsets
 import tightlp.cli
 import tightlp.tightness
 from tightlp.cli import run
+from tightlp.syntax import format_literal_set, literal_key, literal_set_key, parse_literals
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -205,6 +208,65 @@ class TestSolve:
         assert capsys.readouterr().out == solved
 
 
+# a sorts before -a and p(9) before p(10), unlike their text; ints sort
+# before identifiers, and predicates of arity 0, 1 and 2 meet
+PRINTER_POOL = sorted(
+    parse_literals("a, -a, p(9), p(10), -p(10), p(b), r(b,3), r(3,b), -r(3,b), q"), key=literal_key
+)
+LOOP = parse_literals("c(9), c(10)")
+
+
+class TestPrintedSets:
+    """solve, enumerate and solve --trace print each set as format_literal_set
+    does, on programs whose answer sets are a random family: a choice for
+    each literal of a universe, and a constraint against each consistent
+    subset outside the family.  A positive loop over c(9) and c(10) adds a
+    dropped completion model per answer set."""
+
+    def families(self):
+        rng = random.Random(83)
+        for _ in range(12):
+            universe = frozenset(rng.sample(PRINTER_POOL, rng.randint(4, 8)))
+            subsets = list(consistent_subsets(universe))
+            family = set(rng.sample(subsets, rng.randint(0, min(12, len(subsets)))))
+            if rng.random() < 0.5:
+                family.add(frozenset())
+            yield universe, sorted(family, key=literal_set_key), subsets
+
+    def program(self, universe, family, subsets):
+        lines = ["%s :- not not %s." % (l, l) for l in sorted(universe, key=literal_key)]
+        for x in subsets:
+            if x not in family:
+                body = [str(l) for l in x] + ["not %s" % l for l in universe - x]
+                lines.append(":- %s." % ", ".join(body))
+        lines.append("c(9) :- c(10).\nc(10) :- c(9).")
+        return "\n".join(lines) + "\n"
+
+    def test_every_line_is_format_literal_set_of_its_set(self, program_file, capsys):
+        shuffled = 0  # sets whose text order is not their literal order
+        for universe, family, subsets in self.families():
+            path = program_file(self.program(universe, family, subsets))
+            printed = "".join(format_literal_set(x) + "\n" for x in family)
+            assert run(["solve", path]) == 0
+            assert capsys.readouterr() == (printed, "")
+            assert run(["enumerate", path]) == 0
+            assert capsys.readouterr() == (printed, "")
+            assert run(["solve", path, "--trace"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == printed
+            looped = sorted((x | LOOP for x in family), key=literal_set_key)
+            expect = ["trace: %s accepted [tight-on-model]" % format_literal_set(x) for x in family]
+            expect += [
+                "trace: %s dropped (not an answer set; reduct fixpoint is %s)"
+                % (format_literal_set(x), format_literal_set(x - LOOP))
+                for x in looped
+            ]
+            assert captured.err.splitlines()[1:] == expect
+            for x in family:
+                shuffled += sorted(map(str, x)) != [str(l) for l in sorted(x, key=literal_key)]
+        assert shuffled >= 10
+
+
 class TestEnumerate:
     def test_golden(self, program_file, capsys):
         assert run(["enumerate", program_file(CONTRARY)]) == 0
@@ -302,6 +364,18 @@ class TestDeepInputs:
         # a list is one node whatever its length, so no walker nests per element
         proc = run_module(["-m", "tightlp", command, "-"], wide_program(shape, 2000))
         assert proc.returncode == 0, proc.stderr
+
+    def test_a_3000_link_positive_cycle(self):
+        # the checker's component pass walks the cycle without recursing
+        n = 3000
+        text = "".join("a(%d) :- a(%d).\n" % (i + 1, i) for i in range(1, n))
+        text += "a(1) :- a(%d).\n" % n
+        proc = run_module(["-m", "tightlp", "solve", "--trace", "-"], text)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "{}\n"
+        every = "{%s}" % ", ".join("a(%d)" % i for i in range(1, n + 1))
+        dropped = "trace: %s dropped (not an answer set; reduct fixpoint is {})\n" % every
+        assert dropped in proc.stderr
 
     @pytest.mark.parametrize(
         "command, depth",

@@ -6,9 +6,11 @@ from collections import Counter
 
 import pytest
 
-from conftest import ATOMS, consistent_subsets, random_program
+from conftest import ATOMS, consistent_subsets, random_formula, random_program
 from tightlp import (
+    And,
     Atom,
+    BlocksSpec,
     CapacityError,
     Cnf,
     Literal,
@@ -23,6 +25,7 @@ from tightlp import (
     clausify,
     DefSpec,
     completion,
+    blocksworld_program,
     def_rules,
     eliminate_classical_negation,
     enumerate_answer_sets_bruteforce,
@@ -342,6 +345,35 @@ class TestAnswerSetsViaCompletion:
                 fixpoint = minimal_closed_set(reduct(prog, x)) == x
                 assert checker.is_reduct_fixpoint(x) is fixpoint
 
+    def test_checker_matches_the_definition_across_components(self):
+        rng = random.Random(71)
+        verdicts = Counter()
+        restricted = 0
+        for _ in range(60):
+            prog = component_program(rng)
+            checker = AnswerSetChecker(prog)
+            kept = sum(map(len, checker.cyclic_rules.values()))
+            restricted += kept < sum(r.head is not None for r in prog.rules)
+            for x in consistent_subsets(prog.universe):
+                tight = checker.is_tight_on(x)
+                assert tight is is_tight_on(prog, x)
+                verdicts[tight] += 1
+        assert min(verdicts.values()) >= 1000
+        assert restricted >= 30
+
+    @pytest.mark.parametrize(
+        "name", ["blocks-2-2", "blocks-3-0", "closure-3", "closure-3-irreflexive"]
+    )
+    def test_checker_matches_the_definition_on_completion_models(self, name):
+        prog = NAMED_PROGRAMS[name]()
+        checker = AnswerSetChecker(prog)
+        if name == "blocks-2-2":  # the components leave most rules out
+            assert sum(map(len, checker.cyclic_rules.values())) < len(prog.rules) // 2
+        models = answer_sets_via_completion(prog).completion_models
+        assert models
+        for x in models:
+            assert checker.is_tight_on(x) is is_tight_on(prog, x)
+
     def test_free_closure_3_counts(self):
         choices = "".join("{p(%d,%d)}.\n" % (a, b) for a in (1, 2, 3) for b in (1, 2, 3))
         prog = merge_programs(parse_program(choices), def_rules(DefSpec((1, 2, 3))))
@@ -350,3 +382,50 @@ class TestAnswerSetsViaCompletion:
         assert len(result.answer_sets) == 512
         assert result.tags.count(TAG_TIGHT_ON_MODEL) == 25
         assert result.tags.count(TAG_VERIFIED) == 487
+
+
+def component_program(rng: random.Random) -> Program:
+    """6-8 atoms in two to four groups, in order.  A group of one has a
+    self-loop (``p :- p.`` or ``p :- q, p.``) or no rule of its own, and a
+    larger group a positive cycle; rules lead from earlier groups into later
+    ones, and random nested rules and constraints, some with classical
+    negation, may join groups or add cycles across them."""
+    atoms = [Atom("a", (i,)) for i in range(rng.randint(6, 8))]
+    literals = [Literal(a) for a in atoms]
+    contrary = [Literal(a, True) for a in rng.sample(atoms, rng.randint(0, 2))]
+    pool = literals + contrary
+    rng.shuffle(literals)
+    cuts = sorted(rng.sample(range(1, len(literals)), rng.randint(1, 3)))
+    groups = [literals[i:j] for i, j in zip([0, *cuts], [*cuts, len(literals)])]
+    rules = []
+    for k, group in enumerate(groups):
+        if len(group) == 1 and rng.random() < 0.6:
+            (p,) = group
+            rules.append(Rule(p, p if rng.random() < 0.5 else And(rng.choice(pool), p)))
+        for head, parent in zip(group, group[1:] + group[:1]):
+            if len(group) > 1:
+                extra = random_formula(rng, pool, 2)
+                rules.append(Rule(head, parent if rng.random() < 0.4 else And(parent, extra)))
+        for earlier in groups[:k]:
+            if rng.random() < 0.7:
+                rules.append(Rule(rng.choice(group), rng.choice(earlier)))
+    for _ in range(rng.randint(0, 4)):
+        head = None if rng.random() < 0.25 else rng.choice(pool)
+        rules.append(Rule(head, random_formula(rng, pool, 3)))
+    return Program(tuple(rules))
+
+
+def _closure_3(irreflexive: bool) -> Program:
+    constants = (1, 2, 3)
+    text = "".join("{p(%d,%d)}.\n" % (a, b) for a in constants for b in constants)
+    if irreflexive:
+        text += "".join(":- tc(%d,%d).\n" % (c, c) for c in constants)
+    return merge_programs(parse_program(text), def_rules(DefSpec(constants)))
+
+
+NAMED_PROGRAMS = {
+    "blocks-2-2": lambda: blocksworld_program(BlocksSpec(("b1", "b2"), 2)),
+    "blocks-3-0": lambda: blocksworld_program(BlocksSpec(("b1", "b2", "b3"), 0)),
+    "closure-3": lambda: _closure_3(False),
+    "closure-3-irreflexive": lambda: _closure_3(True),
+}
