@@ -23,7 +23,6 @@ from .syntax import (
     format_literal_set,
     is_normal,
     literal_key,
-    literal_set_key,
     merge_programs,
     parse_literals,
     parse_program,
@@ -42,27 +41,20 @@ from .semantics import (
     is_answer_set,
     is_closed,
     is_consistent,
-    minimal_closed_set,
-    reduct,
-    reduct_formula,
     satisfies,
 )
 from .completion import (
     Completion,
     completion,
-    is_supported,
     render_completion,
-    satisfies_completion,
 )
 from .tightness import (
     Digraph,
-    ancestors,
     is_absolutely_tight,
     is_tight_on,
     lambda_witness,
     parent_graph,
     positive_dependency_graph,
-    program_positive_literals,
 )
 from .sat import (
     Cnf,
@@ -82,21 +74,15 @@ from .transitive_closure import (
     DefSpec,
     TightnessPreservationReport,
     check_constrained_acyclicity,
-    check_tc_extent,
     check_tightness_preservation,
     def_rules,
     is_wellfounded,
     p_extent,
-    tc_extent,
-    warshall,
 )
 from .generators import (
     BlocksSpec,
     QueensSpec,
-    blocksworld_above_slices,
-    blocksworld_history_count_oracle,
     blocksworld_program,
-    queens_count_oracle,
     queens_program,
 )
 

@@ -18,11 +18,10 @@ from .syntax import (
     render,
 )
 from .semantics import (
+    AnswerSetChecker,
     CapacityError,
     enumerate_answer_sets_bruteforce,
     is_consistent,
-    minimal_closed_set,
-    reduct,
 )
 from .completion import completion, render_completion
 from .sat import answer_sets_via_completion, clausify, to_dimacs
@@ -121,20 +120,19 @@ def _cmd_solve(args) -> int:
     accepted = lines[: len(result.answer_sets)]
     if args.trace:
         trace = ["trace: %s accepted [%s]" % pair for pair in zip(accepted, result.tags)]
-        trace += [
-            "trace: %s dropped (not an answer set%s)" % (text, _reduct_fixpoint_note(program, x))
-            for text, x in zip(lines[len(accepted) :], result.dropped)
-        ]
+        if result.dropped:
+            # a completion model is a model of the program, so its fixpoint is
+            # a subset of it and the walk runs to the end
+            checker = AnswerSetChecker(program)
+            for text, x in zip(lines[len(accepted) :], result.dropped):
+                fixpoint = [checker.literals[i] for i in checker.reduct_fixpoint(x)]
+                trace.append(
+                    "trace: %s dropped (not an answer set; reduct fixpoint is %s)"
+                    % (text, format_literal_set(fixpoint))
+                )
         _print_lines(trace, sys.stderr)
     _print_lines(accepted)
     return 0
-
-
-def _reduct_fixpoint_note(program, x) -> str:
-    fix = minimal_closed_set(reduct(program, x))
-    if fix is None:
-        return "; reduct has no consistent closed set"
-    return "; reduct fixpoint is %s" % format_literal_set(fix)
 
 
 def _cmd_enumerate(args) -> int:

@@ -1,34 +1,19 @@
-"""Supportedness and the completion of finite normal programs."""
+"""The completion of finite normal programs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .syntax import (
     COMPLETION_STYLE,
     Atom,
     Formula,
-    Literal,
     Program,
     atom_key,
     disj_of,
     is_normal,
     render_formula,
 )
-from .semantics import satisfies
-
-
-def is_supported(x: frozenset[Literal], program: Program) -> bool:
-    """Every literal of x heads some rule whose body x satisfies."""
-    by_head: dict[Literal, list[Formula]] = {}
-    for r in program.rules:
-        if r.head is not None:
-            by_head.setdefault(r.head, []).append(r.body)
-    for l in x:
-        if not any(satisfies(x, b) for b in by_head.get(l, ())):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -65,15 +50,6 @@ def completion(program: Program) -> Completion:
             bodies[r.head.atom].append(r.body)
     entries = tuple((a, disj_of(bodies[a])) for a in atoms)
     return Completion(entries, tuple(constraint_bodies))
-
-
-def satisfies_completion(atoms: Iterable[Atom], comp: Completion) -> bool:
-    xs = frozenset(atoms)
-    x = frozenset(Literal(a) for a in xs)
-    for a, d in comp.entries:
-        if (a in xs) != satisfies(x, d):
-            return False
-    return not any(satisfies(x, b) for b in comp.constraint_bodies)
 
 
 def render_completion(comp: Completion) -> str:

@@ -1,4 +1,4 @@
-"""Program families used as test fixtures, with independent oracles."""
+"""Program families: n-queens and blocks world."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .syntax import (
     conj_of,
     is_term,
 )
-from .transitive_closure import DefSpec
 
 
 @dataclass(frozen=True)
@@ -52,26 +51,6 @@ def queens_program(spec: QueensSpec) -> Program:
         if c < c1 and abs(r - r1) == c1 - c:
             rules.append(Rule(None, And(_queen(r, c), _queen(r1, c1))))
     return Program(tuple(rules))
-
-
-def queens_count_oracle(n: int) -> int:
-    """Number of n-queens solutions by straightforward backtracking."""
-    if not 1 <= n <= 10:
-        raise ValueError("oracle supports 1 <= n <= 10")
-
-    def extend(cols: tuple[int, ...]) -> int:
-        row = len(cols)
-        if row == n:
-            return 1
-        total = 0
-        for col in range(n):
-            if all(
-                col != c and abs(col - c) != row - r for r, c in enumerate(cols)
-            ):
-                total += extend(cols + (col,))
-        return total
-
-    return extend(())
 
 
 @dataclass(frozen=True)
@@ -166,70 +145,3 @@ def blocksworld_program(spec: BlocksSpec) -> Program:
             rules.append(Rule(None, Not(_above(b, "table", t))))
     return Program(tuple(rules))
 
-
-def blocksworld_above_slices(spec: BlocksSpec) -> tuple[DefSpec, ...]:
-    """One closure descriptor per time step: above(x,y,t) as the transitive
-    closure of on(x,y,t) over blocks plus the table."""
-    return tuple(
-        DefSpec(
-            constants=spec.locations,
-            p_name="on",
-            tc_name="above",
-            p_extra_args=(t,),
-            tc_extra_args=(t,),
-        )
-        for t in range(spec.horizon + 1)
-    )
-
-
-def blocksworld_history_count_oracle(spec: BlocksSpec) -> int:
-    """Number of legal (configuration, action, ...) histories, computed by
-    direct state-space enumeration: a history fixes a legal initial
-    configuration and one optional executable move per step.
-
-    Answer sets of the blocks world program correspond one to one with these
-    histories, so this is an independent count oracle for it.
-    """
-    blocks = spec.blocks
-    locs = spec.locations
-
-    def legal(cfg: tuple[str, ...]) -> bool:
-        placed = dict(zip(blocks, cfg))
-        # at most one block per block, and every tower grounded on the table
-        used = [l for l in cfg if l != "table"]
-        if len(used) != len(set(used)):
-            return False
-        for b in blocks:
-            seen = set()
-            cur = b
-            while cur != "table":
-                if cur in seen:
-                    return False
-                seen.add(cur)
-                cur = placed[cur]
-        return True
-
-    configs = [
-        cfg for cfg in itertools.product(locs, repeat=len(blocks)) if legal(cfg)
-    ]
-
-    def actions(cfg: tuple[str, ...]) -> list[tuple[str, ...]]:
-        placed = dict(zip(blocks, cfg))
-        out = [cfg]  # no move
-        for i, b in enumerate(blocks):
-            if any(placed[b1] == b for b1 in blocks):
-                continue  # something sits on b
-            for l in locs:
-                nxt = cfg[:i] + (l,) + cfg[i + 1 :]
-                if legal(nxt):
-                    out.append(nxt)
-        return out
-
-    counts = {cfg: 1 for cfg in configs}
-    for _ in range(spec.horizon):
-        nxt_counts: dict[tuple[str, ...], int] = {}
-        for cfg, ways in counts.items():
-            for nxt in actions(cfg):
-                nxt_counts[nxt] = nxt_counts.get(nxt, 0) + ways
-        counts = nxt_counts
-    return sum(counts.values())

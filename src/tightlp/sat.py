@@ -228,7 +228,7 @@ def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
                 continue
             models.append(frozenset(a for a, v in proj if val[v] == 1))
             if len(models) > max_models:
-                raise ModelCapError(f"more than {max_models} models")
+                raise ModelCapError(f"more than {max_models} completion models")
         # a flipped level is exhausted; after a model, so is an auxiliary one
         while levels and (levels[-1][2] or (consistent and levels[-1][1] >= len(proj))):
             levels.pop()

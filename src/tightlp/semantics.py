@@ -1,4 +1,5 @@
-"""Satisfaction, closure, reducts, and brute-force answer set enumeration."""
+"""Satisfaction, closure, the compiled answer set check, and brute-force
+answer set enumeration."""
 
 from __future__ import annotations
 
@@ -6,8 +7,6 @@ import itertools
 from typing import Iterable
 
 from .syntax import (
-    FALSE,
-    TRUE,
     And,
     Bottom,
     Formula,
@@ -15,7 +14,6 @@ from .syntax import (
     Not,
     Or,
     Program,
-    Rule,
     Top,
     complement,
     literal_key,
@@ -69,56 +67,6 @@ def is_closed(x: frozenset[Literal], program: Program) -> bool:
             if r.head is None or r.head not in x:
                 return False
     return True
-
-
-def reduct_formula(formula: Formula, x: frozenset[Literal]) -> Formula:
-    """Replace every maximal ``not F`` with false if x satisfies F, else true."""
-    if isinstance(formula, Not):
-        return FALSE if satisfies(x, formula.operand) else TRUE
-    if isinstance(formula, (And, Or)):
-        return type(formula)(*[reduct_formula(part, x) for part in formula.parts])
-    return formula
-
-
-def reduct(program: Program, x: frozenset[Literal]) -> Program:
-    return Program(
-        tuple(Rule(r.head, reduct_formula(r.body, x)) for r in program.rules),
-        program.declared,
-    )
-
-
-def _contains_naf(formula: Formula) -> bool:
-    if isinstance(formula, Not):
-        return True
-    if isinstance(formula, (And, Or)):
-        for part in formula.parts:
-            if _contains_naf(part):
-                return True
-    return False
-
-
-def minimal_closed_set(program: Program) -> frozenset[Literal] | None:
-    """Least consistent closed set of a program without negation as failure.
-
-    Computed as the fixpoint of the one-step consequence operator from the
-    empty set.  Returns None when no consistent closed set exists (the
-    fixpoint hits a complementary pair or fires a constraint).
-    """
-    if any(_contains_naf(r.body) for r in program.rules):
-        raise ValueError("minimal_closed_set requires a program without 'not'")
-    heads = [(r.head, r.body) for r in program.rules if r.head is not None]
-    constraints = [r.body for r in program.rules if r.head is None]
-    cur: frozenset[Literal] = frozenset()
-    while True:
-        if not is_consistent(cur):
-            return None
-        nxt = frozenset(h for h, b in heads if satisfies(cur, b))
-        if nxt == cur:
-            break
-        cur = nxt
-    if any(satisfies(cur, b) for b in constraints):
-        return None
-    return cur
 
 
 def _strongly_connected_components(succ: list[list[int]]) -> list[int]:
@@ -219,21 +167,27 @@ class AnswerSetChecker:
             if inside:
                 self.cyclic_rules.setdefault(head, []).append((body, inside))
 
-    def is_reduct_fixpoint(self, x: frozenset[Literal]) -> bool:
-        """x is the least fixpoint of the reduct relative to x, and fires no
-        constraint: for a consistent x, x is an answer set.  Stops once a
-        derived head falls outside x."""
+    def reduct_fixpoint(self, x: frozenset[Literal]) -> list[int] | None:
+        """The ids of the least fixpoint of the reduct relative to x, or None
+        once a derived head falls outside x or a constraint fires.  On a model
+        of the program neither happens: the fixpoint is a subset of x."""
         xs = {self.ids[l] for l in x}
         need = self.need[:]
         stack = [v for v, f in self.leaves if f is None or not satisfies(x, f)]
         while stack:
             for p in self.up[stack.pop()]:
                 if p <= self.sink and p not in xs:  # a head outside x, or a constraint
-                    return False
+                    return None
                 need[p] -= 1
                 if not need[p]:
                     stack.append(p)
-        return all(need[i] <= 0 for i in xs)
+        return [i for i in xs if need[i] <= 0]
+
+    def is_reduct_fixpoint(self, x: frozenset[Literal]) -> bool:
+        """x is the least fixpoint of the reduct relative to x, and fires no
+        constraint: for a consistent x, x is an answer set."""
+        derived = self.reduct_fixpoint(x)
+        return derived is not None and len(derived) == len(x)
 
     def is_tight_on(self, x: frozenset[Literal]) -> bool:
         """No cycle in the parent relation relative to x, by Kahn's algorithm
@@ -259,8 +213,8 @@ class AnswerSetChecker:
 
 
 def is_answer_set(x: frozenset[Literal], program: Program) -> bool:
-    """x is the minimal consistent closed set of the reduct relative to x:
-    ``minimal_closed_set(reduct(program, x)) == x``, by the compiled fixpoint."""
+    """x is the minimal consistent closed set of the reduct relative to x,
+    by the compiled fixpoint."""
     x = frozenset(x)
     # the fixpoint alone would accept an inconsistent x such as {p, -p}
     possible = is_consistent(x) and x <= program.universe

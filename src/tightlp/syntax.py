@@ -107,11 +107,6 @@ def literal_key(l: Literal):
     return (*atom_key(l.atom), l.negated)
 
 
-def literal_set_key(x: Iterable[Literal]):
-    lits = sorted(literal_key(l) for l in x)
-    return (len(lits), lits)
-
-
 def literal_ranks(sets: Iterable[frozenset[Literal]]) -> dict[Literal, int]:
     """Each literal of the sets numbered in literal_key order, which is also
     the dict's order; literal_key is called once per literal."""
@@ -119,7 +114,8 @@ def literal_ranks(sets: Iterable[frozenset[Literal]]) -> dict[Literal, int]:
 
 
 def sorted_literal_sets(sets: Iterable[frozenset[Literal]]) -> list[frozenset[Literal]]:
-    """The sets in literal_set_key order, compared by their literals' ranks."""
+    """The sets by size, then by their literals in literal_key order,
+    compared by the literals' ranks."""
     sets = list(sets)
     rank = literal_ranks(sets)
     return sorted(sets, key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))

@@ -117,15 +117,6 @@ def positive_dependency_graph(program: Program) -> Digraph:
     return Digraph(frozenset(vertices), frozenset(edges))
 
 
-def program_positive_literals(program: Program) -> frozenset[Literal]:
-    """Union of the positive body literals over all non-constraint rules."""
-    out: set[Literal] = set()
-    for r in program.rules:
-        if r.head is not None:
-            out |= positive_literals(r.body)
-    return frozenset(out)
-
-
 def is_tight_on(program: Program, x: Iterable[Literal]) -> bool:
     """No cycle in the parent relation relative to (program, x)."""
     return parent_graph(program, x).is_acyclic()
@@ -155,7 +146,3 @@ def lambda_witness(program: Program, x: Iterable[Literal]) -> dict[Literal, int]
                 raise RuntimeError("witness validation failed")
     return depths
 
-
-def ancestors(literal: Literal, program: Program, x: Iterable[Literal]) -> frozenset[Literal]:
-    """Literals reachable from the given one by one or more parent steps."""
-    return parent_graph(program, x).ancestors(literal)

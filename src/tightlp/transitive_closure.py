@@ -82,19 +82,6 @@ def def_rules(spec: DefSpec) -> Program:
     return Program(tuple(rules))
 
 
-def warshall(pairs: Iterable[Pair]) -> frozenset[Pair]:
-    """Transitive closure of a finite binary relation."""
-    closure = set(pairs)
-    nodes = {x for p in closure for x in p}
-    for v in nodes:
-        for x in nodes:
-            if (x, v) in closure:
-                for y in nodes:
-                    if (v, y) in closure:
-                        closure.add((x, y))
-    return frozenset(closure)
-
-
 def _extent(x: Iterable[Literal], literals: dict[Pair, Literal]) -> frozenset[Pair]:
     xs = frozenset(x)
     return frozenset(pair for pair, l in literals.items() if l in xs)
@@ -102,15 +89,6 @@ def _extent(x: Iterable[Literal], literals: dict[Pair, Literal]) -> frozenset[Pa
 
 def p_extent(x: Iterable[Literal], spec: DefSpec) -> frozenset[Pair]:
     return _extent(x, _pair_literals(spec)[0])
-
-
-def tc_extent(x: Iterable[Literal], spec: DefSpec) -> frozenset[Pair]:
-    return _extent(x, _pair_literals(spec)[1])
-
-
-def check_tc_extent(x: Iterable[Literal], spec: DefSpec) -> bool:
-    """The tc atoms of x are exactly the closure of its p atoms."""
-    return tc_extent(x, spec) == warshall(p_extent(x, spec))
 
 
 def is_wellfounded(pairs: Iterable[Pair]) -> bool:

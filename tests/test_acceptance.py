@@ -10,6 +10,16 @@ import time
 from contextlib import contextmanager
 
 from conftest import consistent_subsets, random_program
+from reference import (
+    blocksworld_above_slices,
+    blocksworld_history_count_oracle,
+    check_tc_extent,
+    is_supported,
+    minimal_closed_set,
+    queens_count_oracle,
+    satisfies_completion,
+    warshall,
+)
 from tightlp import (
     Atom,
     BlocksSpec,
@@ -21,11 +31,8 @@ from tightlp import (
     TAG_ABSOLUTELY_TIGHT,
     TAG_TIGHT_ON_MODEL,
     answer_sets_via_completion,
-    blocksworld_above_slices,
-    blocksworld_history_count_oracle,
     blocksworld_program,
     check_constrained_acyclicity,
-    check_tc_extent,
     check_tightness_preservation,
     completion,
     def_rules,
@@ -36,20 +43,15 @@ from tightlp import (
     is_closed,
     is_consistent,
     is_normal,
-    is_supported,
     is_tight_on,
     lambda_witness,
     merge_programs,
-    minimal_closed_set,
     parse_literals,
     parse_program,
     positive_literals,
-    queens_count_oracle,
     queens_program,
     render_completion,
     satisfies,
-    satisfies_completion,
-    warshall,
 )
 from tightlp.cli import run
 

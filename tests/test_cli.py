@@ -1,19 +1,23 @@
 """Command line behavior: output goldens, exit codes, stdin plumbing."""
 
 import io
+import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import consistent_subsets
+from conftest import consistent_subsets, random_program
+from reference import literal_set_key, minimal_closed_set, reduct
 import tightlp.cli
 import tightlp.tightness
+from tightlp import DefSpec, answer_sets_via_completion, def_rules
 from tightlp.cli import run
-from tightlp.syntax import format_literal_set, literal_key, literal_set_key, parse_literals
+from tightlp.syntax import format_literal_set, literal_key, parse_literals, parse_program, render
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -192,7 +196,7 @@ class TestSolve:
 
     def test_model_cap_exit_code(self, program_file, capsys):
         assert run(["solve", program_file("{a}.\n{b}.\n"), "--max-models", "2"]) == 2
-        assert "cap" in capsys.readouterr().err
+        assert capsys.readouterr().err == "resource cap exceeded: more than 2 completion models\n"
 
     def test_negative_max_models_is_a_usage_error(self, program_file, capsys):
         assert run(["solve", program_file("{a}.\n"), "--max-models", "-1"]) == 1
@@ -265,6 +269,49 @@ class TestPrintedSets:
             for x in family:
                 shuffled += sorted(map(str, x)) != [str(l) for l in sorted(x, key=literal_key)]
         assert shuffled >= 10
+
+
+DROPPED = re.compile(r"trace: (\{.*\}) dropped \(not an answer set; reduct fixpoint is (\{.*\})\)")
+
+
+class TestTraceNotes:
+    """Each dropped line of solve --trace names the least fixpoint of the
+    reduct relative to its model, as the reference states it: a proper
+    subset of the model."""
+
+    def notes(self, text, program_file, capsys):
+        """The dropped lines' notes against the reference, and their number."""
+        prog = parse_program(text)
+        assert run(["solve", program_file(text), "--trace"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        notes = dict(m.groups() for m in map(DROPPED.fullmatch, lines) if m)
+        expect = {}
+        for x in answer_sets_via_completion(prog).completion_models:
+            least = minimal_closed_set(reduct(prog, x))
+            if least != x:
+                assert least is not None and least < x
+                expect[format_literal_set(x)] = format_literal_set(least)
+        assert notes == expect
+        return len(notes)
+
+    def test_random_programs(self, program_file, capsys):
+        rng = random.Random(89)
+        dropped = 0
+        for _ in range(300):
+            prog = random_program(
+                rng,
+                n_atoms=rng.randint(2, 5),
+                depth=3,
+                classical=rng.random() < 0.5,
+                constraint_chance=0.2,
+            )
+            dropped += self.notes(render(prog) + "\n", program_file, capsys)
+        assert dropped >= 50
+
+    def test_free_closure_over_three_constants(self, program_file, capsys):
+        choices = "".join("{p(%d,%d)}.\n" % pair for pair in itertools.product((1, 2, 3), repeat=2))
+        text = choices + render(def_rules(DefSpec(constants=(1, 2, 3)))) + "\n"
+        assert self.notes(text, program_file, capsys) == 1155
 
 
 class TestEnumerate:

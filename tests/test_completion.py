@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import random_program
+from reference import is_supported, satisfies_completion
 from tightlp import (
     FALSE,
     And,
@@ -16,12 +17,10 @@ from tightlp import (
     completion,
     enumerate_answer_sets_bruteforce,
     is_closed,
-    is_supported,
     parse_literals,
     parse_program,
     render_completion,
     render_formula,
-    satisfies_completion,
 )
 from tightlp.syntax import COMPLETION_STYLE
 

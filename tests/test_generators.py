@@ -2,6 +2,12 @@
 
 import pytest
 
+from reference import (
+    blocksworld_above_slices,
+    blocksworld_history_count_oracle,
+    check_tc_extent,
+    queens_count_oracle,
+)
 from tightlp import (
     Atom,
     BlocksSpec,
@@ -9,10 +15,7 @@ from tightlp import (
     Literal,
     QueensSpec,
     answer_sets_via_completion,
-    blocksworld_above_slices,
-    blocksworld_history_count_oracle,
     blocksworld_program,
-    check_tc_extent,
     def_rules,
     enumerate_answer_sets_bruteforce,
     is_absolutely_tight,
@@ -20,7 +23,6 @@ from tightlp import (
     is_wellfounded,
     p_extent,
     parse_program,
-    queens_count_oracle,
     queens_program,
     regular_literals,
 )

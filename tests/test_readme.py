@@ -1,4 +1,5 @@
-"""README's "Command line" examples, run in-process through ``cli.run``.
+"""README's "Command line" examples, run in-process through ``cli.run``,
+and its "Library" code, run as it stands.
 
 A ``$ cat FILE`` example gives the file's text, a ``|`` between ``tightlp``
 commands pipes stdout to stdin, and a trailing ``| wc -l`` or ``| head -N``
@@ -17,11 +18,14 @@ from tightlp.cli import run
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def section(title: str) -> str:
+    return README.read_text().split("## %s\n" % title, 1)[1].split("\n## ", 1)[0]
+
+
 def command_line_examples() -> tuple[dict[str, str], list[tuple[str, str]]]:
     """The files that ``cat`` shows, and each ``tightlp`` command with its output."""
-    section = README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
     files, commands = {}, []
-    for block in re.findall(r"^```\n(.*?)^```$", section, re.M | re.S):
+    for block in re.findall(r"^```\n(.*?)^```$", section("Command line"), re.M | re.S):
         for example in re.split(r"^\$ ", block, flags=re.M)[1:]:
             command, _, shown = example.partition("\n")
             shown = shown.rstrip("\n") + "\n"
@@ -77,3 +81,9 @@ def test_example_prints_what_readme_shows(command, shown, monkeypatch, tmp_path)
     if len(stages) > len(tightlp_stages):
         screen.write(piped)
     assert screen.getvalue() == shown
+
+
+def test_library_code_runs(capsys):
+    (code,) = re.findall(r"^```python\n(.*?)^```$", section("Library"), re.M | re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import ATOMS, consistent_subsets, random_formula, random_program
+from reference import minimal_closed_set, reduct, satisfies_completion
 from tightlp import (
     And,
     Atom,
@@ -33,12 +34,9 @@ from tightlp import (
     is_answer_set,
     is_tight_on,
     merge_programs,
-    minimal_closed_set,
     parse_literals,
     parse_program,
     queens_program,
-    reduct,
-    satisfies_completion,
     solve_all,
     to_dimacs,
 )
@@ -335,6 +333,7 @@ class TestAnswerSetsViaCompletion:
 
     def test_checker_matches_the_definitions_on_every_consistent_set(self):
         rng = random.Random(67)
+        walks = Counter()  # walks that ran to the end, and that stopped early
         for _ in range(100):
             prog = random_program(
                 rng, n_atoms=3, max_rules=7, depth=3, classical=rng.random() < 0.5
@@ -342,8 +341,17 @@ class TestAnswerSetsViaCompletion:
             checker = AnswerSetChecker(prog)
             for x in consistent_subsets(prog.universe):
                 assert checker.is_tight_on(x) is is_tight_on(prog, x)
-                fixpoint = minimal_closed_set(reduct(prog, x)) == x
+                least = minimal_closed_set(reduct(prog, x))
+                fixpoint = least == x
                 assert checker.is_reduct_fixpoint(x) is fixpoint
+                derived = checker.reduct_fixpoint(x)
+                if derived is None:
+                    # a derived head left x, or a constraint fired
+                    assert least is None or not least <= x
+                else:
+                    assert {checker.literals[i] for i in derived} == least
+                walks[derived is None] += 1
+        assert min(walks.values()) >= 100
 
     def test_checker_matches_the_definition_across_components(self):
         rng = random.Random(71)

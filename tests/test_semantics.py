@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import consistent_subsets, random_formula, random_program
+from reference import minimal_closed_set, reduct, reduct_formula
 from tightlp import (
     FALSE,
     TRUE,
@@ -19,11 +20,8 @@ from tightlp import (
     is_answer_set,
     is_closed,
     is_consistent,
-    minimal_closed_set,
     parse_literals,
     parse_program,
-    reduct,
-    reduct_formula,
     satisfies,
 )
 

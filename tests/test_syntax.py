@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import consistent_subsets, random_program, same_program
+from reference import literal_set_key
 from tightlp import (
     FALSE,
     TRUE,
@@ -35,7 +36,6 @@ from tightlp import (
     format_literal_set,
     is_normal,
     literal_key,
-    literal_set_key,
     merge_programs,
     parse_literals,
     parse_program,

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from conftest import consistent_subsets, random_program
+from reference import ancestors, program_positive_literals, reduct
 from tightlp import (
     Atom,
     Digraph,
     Literal,
-    ancestors,
     is_absolutely_tight,
     is_tight_on,
     lambda_witness,
@@ -18,8 +18,6 @@ from tightlp import (
     parse_program,
     positive_dependency_graph,
     positive_literals,
-    program_positive_literals,
-    reduct,
     satisfies,
 )
 

@@ -5,6 +5,13 @@ import random
 
 import pytest
 
+from reference import (
+    check_tc_extent,
+    is_supported,
+    minimal_closed_set,
+    tc_extent,
+    warshall,
+)
 from tightlp import (
     And,
     Atom,
@@ -13,23 +20,18 @@ from tightlp import (
     Program,
     Rule,
     check_constrained_acyclicity,
-    check_tc_extent,
     check_tightness_preservation,
     def_rules,
     enumerate_answer_sets_bruteforce,
     is_absolutely_tight,
     is_answer_set,
     is_closed,
-    is_supported,
     is_tight_on,
     is_wellfounded,
     merge_programs,
-    minimal_closed_set,
     p_extent,
     parse_program,
     render,
-    tc_extent,
-    warshall,
 )
 from tightlp.transitive_closure import _pair_literals
 
