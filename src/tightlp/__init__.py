@@ -35,6 +35,7 @@ from .syntax import (
     term_key,
 )
 from .semantics import (
+    AnswerSetChecker,
     CapacityError,
     EnumerationBoundError,
     enumerate_answer_sets_bruteforce,

@@ -17,12 +17,8 @@ from .syntax import (
     parse_program,
     render,
 )
-from .semantics import (
-    AnswerSetChecker,
-    CapacityError,
-    enumerate_answer_sets_bruteforce,
-    is_consistent,
-)
+from .semantics import AnswerSetChecker, CapacityError, is_consistent
+from .semantics import enumerate_answer_sets_bruteforce
 from .completion import completion, render_completion
 from .sat import answer_sets_via_completion, clausify, to_dimacs
 from .tightness import (
@@ -30,12 +26,7 @@ from .tightness import (
     parent_graph,
     positive_dependency_graph,
 )
-from .generators import (
-    BlocksSpec,
-    QueensSpec,
-    blocksworld_program,
-    queens_program,
-)
+from .generators import BlocksSpec, QueensSpec, blocksworld_program, queens_program
 from .transitive_closure import DefSpec, def_rules
 from .syntax import eliminate_classical_negation
 
@@ -103,33 +94,21 @@ def _cmd_tight(args) -> int:
 def _cmd_solve(args) -> int:
     program = _read_program(args.program)
     result = answer_sets_via_completion(program, max_models=args.max_models)
-    if args.trace:
-        print(
-            "trace: %d completion model(s), stats: %d decisions, "
-            "%d propagations, %d conflicts"
-            % (
-                len(result.completion_models),
-                result.stats.decisions,
-                result.stats.propagations,
-                result.stats.conflicts,
-            ),
-            file=sys.stderr,
-        )
     # one literal order for every set the request prints
     lines = format_literal_sets(result.answer_sets + (result.dropped if args.trace else ()))
     accepted = lines[: len(result.answer_sets)]
     if args.trace:
-        trace = ["trace: %s accepted [%s]" % pair for pair in zip(accepted, result.tags)]
-        if result.dropped:
-            # a completion model is a model of the program, so its fixpoint is
-            # a subset of it and the walk runs to the end
-            checker = AnswerSetChecker(program)
-            for text, x in zip(lines[len(accepted) :], result.dropped):
-                fixpoint = [checker.literals[i] for i in checker.reduct_fixpoint(x)]
-                trace.append(
-                    "trace: %s dropped (not an answer set; reduct fixpoint is %s)"
-                    % (text, format_literal_set(fixpoint))
-                )
+        stats = result.stats
+        trace = [
+            "trace: %d completion model(s), stats: %d decisions, %d propagations, %d conflicts"
+            % (len(result.completion_models), stats.decisions, stats.propagations, stats.conflicts)
+        ]
+        trace += ["trace: %s accepted [%s]" % pair for pair in zip(accepted, result.tags)]
+        trace += [
+            "trace: %s dropped (not an answer set; reduct fixpoint is %s)"
+            % (text, format_literal_set(fixpoint))
+            for text, fixpoint in zip(lines[len(accepted) :], result.fixpoints)
+        ]
         _print_lines(trace, sys.stderr)
     _print_lines(accepted)
     return 0
@@ -144,7 +123,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_dimacs(args) -> int:
     program, _ = eliminate_classical_negation(_read_program(args.program))
-    text = to_dimacs(clausify(completion(program)))
+    text = to_dimacs(clausify(AnswerSetChecker(program)))
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
             fh.write(text)

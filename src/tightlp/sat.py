@@ -5,22 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (
-    And,
-    Atom,
-    Bottom,
-    Formula,
-    Literal,
-    Not,
-    Or,
-    Program,
-    Top,
-    eliminate_classical_negation,
-    sorted_literal_sets,
-)
+from .syntax import And, Atom, Bottom, Literal, Not, Or, Program, Top
+from .syntax import eliminate_classical_negation, sorted_literal_sets
 from .semantics import AnswerSetChecker, CapacityError, is_answer_set
-from .completion import Completion, completion
-# is_answer_set and is_tight_on are unused here; perfbench's tracer rebinds them
+# unused here but rebound by perfbench/tracing.py: completion, is_absolutely_tight,
+# is_answer_set and is_tight_on
+from .completion import completion
 from .tightness import is_absolutely_tight, is_tight_on
 
 TAG_ABSOLUTELY_TIGHT = "absolutely-tight"
@@ -56,8 +46,9 @@ class SolveReport:
     stats: SolveStats
 
 
-def clausify(comp: Completion) -> Cnf:
-    """Tseitin translation: every And or Or node is a gate whose variable
+def clausify(checker: AnswerSetChecker) -> Cnf:
+    """Tseitin translation of the completion of a normal program, read from
+    the nodes of its checker: every And or Or node is a gate whose variable
     is equivalent to it, and a negation is the negated literal of its operand.
 
     An n-ary gate takes n binary clauses that tie its variable to each part
@@ -68,11 +59,14 @@ def clausify(comp: Completion) -> Cnf:
     Every auxiliary variable is still fully defined, so unit propagation from
     a total assignment of the atoms fixes all of them.
     """
-    atoms = [a for a, _ in comp.entries]
-    varmap = {a: i + 1 for i, a in enumerate(atoms)}
+    if any(l.negated for l in checker.literals):
+        raise ValueError("clausify needs a normal program; apply eliminate_classical_negation")
+    nodes, parts, n = checker.nodes, checker.parts, checker.sink
+    varmap = {l.atom: i + 1 for i, l in enumerate(checker.literals)}
     clauses: list[tuple[int, ...]] = []
-    cache: dict[Formula, int] = {}
-    state = {"next": len(atoms), "true": 0}
+    # the CNF literal of each node, 0 until walked; literal id i is variable i + 1
+    lit_of = [*range(1, n + 1)] + [0] * (len(nodes) - n)
+    state = {"next": n, "true": 0}
 
     def fresh() -> int:
         state["next"] += 1
@@ -89,56 +83,43 @@ def clausify(comp: Completion) -> Cnf:
                 out.append(l)
         clauses.append(tuple(out))
 
-    def const_true() -> int:
-        if not state["true"]:
-            state["true"] = fresh()
-            clauses.append((state["true"],))
-        return state["true"]
-
-    def walk(f: Formula, out: int = 0) -> int:
-        """The literal equivalent to f; a new gate takes out, if given."""
-        got = cache.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, Literal):
-            out = varmap[f.atom]
-        elif isinstance(f, Top):
-            out = const_true()
-        elif isinstance(f, Bottom):
-            out = -const_true()
-        elif isinstance(f, Not):
-            out = -walk(f.operand)
-        elif isinstance(f, (And, Or)):
-            parts = [walk(part) for part in f.parts]
-            out = out or fresh()
-            if isinstance(f, And):
-                for p in parts:
-                    emit((-out, p))
-                emit((out, *[-p for p in parts]))
-            else:
-                for p in parts:
-                    emit((out, -p))
-                emit((-out, *parts))
+    def walk(k: int, out: int = 0) -> int:
+        """The literal equivalent to node k; a new gate takes out, if given."""
+        if lit_of[k]:
+            return lit_of[k]
+        kind = type(nodes[k])
+        if kind is Top or kind is Bottom:
+            if not state["true"]:  # the constant variable, made at first use
+                state["true"] = fresh()
+                clauses.append((state["true"],))
+            out = state["true"] if kind is Top else -state["true"]
+        elif kind is Not:
+            out = -walk(parts[k][0])
         else:
-            raise TypeError(f"cannot clausify {f!r}")
-        cache[f] = out
+            ps = [walk(p) for p in parts[k]]
+            out = out or fresh()
+            s = 1 if kind is And else -1  # an Or is an And of the negations, negated
+            for p in ps:
+                emit((-s * out, s * p))
+            emit((s * out, *[-s * p for p in ps]))
+        lit_of[k] = out
         return out
 
-    for atom, disj in comp.entries:
-        v = varmap[atom]
-        if isinstance(disj, (Top, Bottom)):
-            emit((v if isinstance(disj, Top) else -v,))
-        elif isinstance(disj, (And, Or)) and disj not in cache:
-            walk(disj, v)
+    for v, d in enumerate(checker.disj, 1):
+        kind = type(nodes[d])
+        if kind is Top or kind is Bottom:
+            emit((v if kind is Top else -v,))
+        elif (kind is And or kind is Or) and not lit_of[d]:
+            walk(d, v)
         else:
-            d = walk(disj)
+            d = walk(d)
             emit((-v, d))
             emit((v, -d))
-    for body in comp.constraint_bodies:
-        if isinstance(body, And) and body not in cache:
-            emit(tuple(-walk(part) for part in body.parts))
+    for d in checker.constraints:
+        if type(nodes[d]) is And and not lit_of[d]:
+            emit(tuple(-walk(p) for p in parts[d]))
         else:
-            emit((-walk(body),))
+            emit((-walk(d),))
     return Cnf(state["next"], tuple(clauses), varmap)
 
 
@@ -248,13 +229,9 @@ def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
 
 
 def to_dimacs(cnf: Cnf) -> str:
-    lines = [
-        "c var %d = %s" % (v, a)
-        for a, v in sorted(cnf.varmap.items(), key=lambda kv: kv[1])
-    ]
+    lines = ["c var %d = %s" % (v, a) for a, v in sorted(cnf.varmap.items(), key=lambda kv: kv[1])]
     lines.append("p cnf %d %d" % (cnf.num_vars, len(cnf.clauses)))
-    for clause in cnf.clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
+    lines += ["%s 0" % " ".join(map(str, clause)) for clause in cnf.clauses]
     return "\n".join(lines) + "\n"
 
 
@@ -263,12 +240,14 @@ class CompletionSolveResult:
     """Answer sets found through the completion, with how each was admitted.
 
     completion_models holds every projected model (translated back to
-    literals); dropped holds the models that failed the answer set check.
+    literals); dropped holds the models that failed the answer set check,
+    and fixpoints the least fixpoint of the reduct relative to each of them.
     """
 
     answer_sets: tuple[frozenset[Literal], ...]
     tags: tuple[str, ...]
     dropped: tuple[frozenset[Literal], ...]
+    fixpoints: tuple[tuple[Literal, ...], ...]
     completion_models: tuple[frozenset[Literal], ...]
     stats: SolveStats
 
@@ -278,39 +257,39 @@ def answer_sets_via_completion(
 ) -> CompletionSolveResult:
     """Completion, clausification, all-models search, then admission.
 
-    Classical negation is eliminated up front, and models are mapped back and
-    sorted.  An absolutely tight program admits every model outright.  Else
-    one AnswerSetChecker admits a model if the program is tight on it (by the
-    paper's theorem), failing that if it passes the reduct fixpoint check;
-    remaining models are dropped.
+    Classical negation is eliminated up front, and the result is compiled
+    once, into the AnswerSetChecker that the encoding and admission read.
+    Models are mapped back and sorted.  An absolutely tight program admits
+    every model outright.  Else a model is admitted if the program is tight
+    on it (by the paper's theorem), failing that if its reduct fixpoint is
+    all of it; remaining models are dropped.
     """
     target, mapping = eliminate_classical_negation(program)
-    comp = completion(target)
-    cnf = clausify(comp)
-    report = solve_all(cnf, max_models=max_models)
-    # the program's own literals, so that set lookups meet the same objects
-    own = {l.atom: l for l in target.universe}
-    literals = {a: mapping.get(a) or own[a] for a in set().union(*report.models)}
-    models = sorted_literal_sets(
-        frozenset(map(literals.__getitem__, m)) for m in report.models
+    checker = AnswerSetChecker(target)
+    report = solve_all(clausify(checker), max_models=max_models)
+    # each id's literal of the program, so that set lookups meet its objects
+    names = [mapping.get(l.atom, l) for l in checker.literals]
+    literals = {l.atom: name for l, name in zip(checker.literals, names)}
+    models = tuple(
+        sorted_literal_sets(frozenset(map(literals.__getitem__, m)) for m in report.models)
     )
-    accepted: list[frozenset[Literal]] = []
-    tags: list[str] = []
-    dropped: list[frozenset[Literal]] = []
-    if is_absolutely_tight(program):
-        accepted = models
-        tags = [TAG_ABSOLUTELY_TIGHT] * len(models)
-    else:
-        checker = AnswerSetChecker(program)
-        for x in models:
-            if checker.is_tight_on(x):
-                accepted.append(x)
-                tags.append(TAG_TIGHT_ON_MODEL)
-            elif checker.is_reduct_fixpoint(x):
-                accepted.append(x)
-                tags.append(TAG_VERIFIED)
-            else:
-                dropped.append(x)
+    if not checker.cyclic_rules:
+        tags = (TAG_ABSOLUTELY_TIGHT,) * len(models)
+        return CompletionSolveResult(models, tags, (), (), models, report.stats)
+    accepted, tags, dropped, fixpoints = [], [], [], []
+    back = dict(zip(names, checker.literals)) if mapping else None
+    for x in models:
+        y = frozenset(map(back.__getitem__, x)) if back else x
+        tight = checker.is_tight_on(y)
+        # a completion model is a model of the program, so the walk runs to
+        # the end and derives a subset of it
+        derived = None if tight else checker.reduct_fixpoint(y)
+        if tight or len(derived) == len(y):
+            accepted.append(x)
+            tags.append(TAG_TIGHT_ON_MODEL if tight else TAG_VERIFIED)
+        else:
+            dropped.append(x)
+            fixpoints.append(tuple(map(names.__getitem__, derived)))
     return CompletionSolveResult(
-        tuple(accepted), tuple(tags), tuple(dropped), tuple(models), report.stats
+        tuple(accepted), tuple(tags), tuple(dropped), tuple(fixpoints), models, report.stats
     )

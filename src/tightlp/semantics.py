@@ -4,6 +4,7 @@ answer set enumeration."""
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable
 
 from .syntax import (
@@ -16,6 +17,7 @@ from .syntax import (
     Program,
     Top,
     complement,
+    disj_of,
     literal_key,
     positive_literals,
     sorted_literal_sets,
@@ -112,71 +114,107 @@ def _strongly_connected_components(succ: list[list[int]]) -> list[int]:
 
 
 class AnswerSetChecker:
-    """A program compiled once, for deciding many sets of its literals.
+    """A program compiled once, for its CNF encoding, its tightness verdicts
+    and deciding many sets of its literals.
 
-    Literals become ints in literal_key order, and id n is the head of
-    every constraint.  Rule bodies become one and/or DAG over the ids, and
-    each ``not F`` is a leaf read classically in the set.  A node's ``need``
-    counts the parts still to fire (Dowling & Gallier): all of an And, one
-    of an Or, a head's first rule.
+    Literals become ids in literal_key order; id n is the head of every
+    constraint.  ``ids`` also numbers the formulas the completion reads, each
+    literal's disjunction of bodies (``disj``) and each constraint body
+    (``constraints``) with their parts and ``not`` operands, and ``nodes``
+    and ``parts`` give each id's formula and the ids of its parts.  The
+    reduct fixpoint walks them as an and/or DAG whose ``not F`` leaves are
+    read classically in the set (Dowling & Gallier).
 
     A cycle of the parent relation is a cycle of the positive dependency
     graph, so it lies in one of that graph's strongly connected components.
     ``cyclic_rules`` maps each head to the rules whose body has a positive
     literal in the head's own component, each with those literals only:
-    exactly the edges that can lie on a cycle, self-loops included.
+    exactly the edges that can lie on a cycle, self-loops included, so it is
+    empty exactly when the program is absolutely tight.  It and the DAG are
+    built on first read: clausify reads neither.
     """
 
     def __init__(self, program: Program):
+        self.rules = program.rules
         self.literals = sorted(program.universe, key=literal_key)
-        self.ids = {l: i for i, l in enumerate(self.literals)}
+        ids = self.ids = {l: i for i, l in enumerate(self.literals)}
         n = self.sink = len(self.literals)
-        self.need = [1] * (n + 1)
-        self.up: list[list[int]] = [[] for _ in self.need]  # junctions and rule heads
-        self.leaves: list[tuple] = []  # (node, F) for ``not F``, (node, None) for true
-        nodes: dict[Formula, int] = {}
+        nodes = self.nodes = [*self.literals, None]
+        parts = self.parts = [[]] * (n + 1)
 
         def node(f: Formula) -> int:
-            if isinstance(f, Literal):
-                return self.ids[f]
-            if f not in nodes:
-                parts = [node(p) for p in f.parts] if isinstance(f, (And, Or)) else ()
-                v = nodes[f] = len(self.need)
-                self.need.append(len(parts) if isinstance(f, And) else 1)
-                self.up.append([])
-                for p in parts:
-                    self.up[p].append(v)
-                if isinstance(f, (Not, Top)):
-                    self.leaves.append((v, f.operand if isinstance(f, Not) else None))
-            return nodes[f]
+            k = ids.get(f)
+            if k is None:
+                if isinstance(f, Not):
+                    got = [node(f.operand)]
+                else:
+                    got = [node(p) for p in f.parts] if isinstance(f, (And, Or)) else []
+                k = ids[f] = len(nodes)
+                nodes.append(f)
+                parts.append(got)
+            return k
 
+        bodies: list[list[Formula]] = [[] for _ in range(n + 1)]
+        for r in self.rules:
+            bodies[n if r.head is None else ids[r.head]].append(r.body)
+        self.disj = [node(disj_of(b)) for b in bodies[:n]]
+        self.constraints = [node(b) for b in bodies[n]]
+
+    @cached_property
+    def _dag(self) -> tuple[list[int], list[list[int]], list[tuple]]:
+        """Each node's count of parts still to fire, its parents, and the
+        leaves: (node, F) for ``not F``, (node, None) for true.  A head reads
+        the parts of its disjunction.  A part's id is below its parents', so
+        one pass down the ids links just the nodes a head or constraint reads."""
+        need = [1] * len(self.nodes)
+        up: list[list[int]] = [[] for _ in need]
+        for head, d in enumerate(self.disj):
+            for p in self.parts[d] if type(self.nodes[d]) is Or else [d]:
+                up[p].append(head)
+        for d in self.constraints:
+            up[d].append(self.sink)
+        leaves: list[tuple] = []
+        for k in range(len(self.nodes) - 1, self.sink, -1):
+            f = self.nodes[k]
+            if up[k] and isinstance(f, (Not, Top)):
+                leaves.append((k, f.operand if isinstance(f, Not) else None))
+            elif up[k] and isinstance(f, (And, Or)):
+                need[k] = len(self.parts[k]) if isinstance(f, And) else 1
+                for p in self.parts[k]:
+                    up[p].append(k)
+        return need, up, leaves
+
+    @cached_property
+    def cyclic_rules(self) -> dict[int, list[tuple]]:
         rules = []  # (head, body, positive body literals) of each rule
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for r in program.rules:
-            head = n if r.head is None else self.ids[r.head]
-            self.up[node(r.body)].append(head)
+        succ: list[list[int]] = [[] for _ in range(self.sink)]
+        for r in self.rules:
             if r.head is not None:
+                head = self.ids[r.head]
                 pos = [self.ids[l] for l in positive_literals(r.body)]
                 rules.append((head, r.body, pos))
                 for l in pos:
                     succ[l].append(head)
         comp = _strongly_connected_components(succ)
-        self.cyclic_rules: dict[int, list[tuple]] = {}
+        cyclic: dict[int, list[tuple]] = {}
         for head, body, pos in rules:
             inside = [l for l in pos if comp[l] == comp[head]]
             if inside:
-                self.cyclic_rules.setdefault(head, []).append((body, inside))
+                cyclic.setdefault(head, []).append((body, inside))
+        return cyclic
 
     def reduct_fixpoint(self, x: frozenset[Literal]) -> list[int] | None:
         """The ids of the least fixpoint of the reduct relative to x, or None
         once a derived head falls outside x or a constraint fires.  On a model
         of the program neither happens: the fixpoint is a subset of x."""
-        xs = {self.ids[l] for l in x}
-        need = self.need[:]
-        stack = [v for v, f in self.leaves if f is None or not satisfies(x, f)]
+        need, up, leaves = self._dag
+        ids, sink = self.ids, self.sink
+        xs = {ids[l] for l in x}
+        need = need[:]
+        stack = [v for v, f in leaves if f is None or not satisfies(x, f)]
         while stack:
-            for p in self.up[stack.pop()]:
-                if p <= self.sink and p not in xs:  # a head outside x, or a constraint
+            for p in up[stack.pop()]:
+                if p <= sink and p not in xs:  # a head outside x, or a constraint
                     return None
                 need[p] -= 1
                 if not need[p]:
@@ -192,12 +230,13 @@ class AnswerSetChecker:
     def is_tight_on(self, x: frozenset[Literal]) -> bool:
         """No cycle in the parent relation relative to x, by Kahn's algorithm
         on the edges of the cyclic rules with head in x and body true in x."""
-        xs = {self.ids[l] for l in x}
-        heads = xs.intersection(self.cyclic_rules)
+        ids, cyclic = self.ids, self.cyclic_rules
+        xs = {ids[l] for l in x}
+        heads = xs.intersection(cyclic)
         succ: dict[int, list[int]] = {}
         waiting = dict.fromkeys(heads, 0)
         for h in heads:
-            for body, pos in self.cyclic_rules[h]:
+            for body, pos in cyclic[h]:
                 parents = xs.intersection(pos)
                 if parents and satisfies(x, body):
                     for l in parents:

@@ -14,6 +14,7 @@ import pytest
 from conftest import consistent_subsets, random_program
 from reference import literal_set_key, minimal_closed_set, reduct
 import tightlp.cli
+import tightlp.semantics
 import tightlp.tightness
 from tightlp import DefSpec, answer_sets_via_completion, def_rules
 from tightlp.cli import run
@@ -312,6 +313,27 @@ class TestTraceNotes:
         choices = "".join("{p(%d,%d)}.\n" % pair for pair in itertools.product((1, 2, 3), repeat=2))
         text = choices + render(def_rules(DefSpec(constants=(1, 2, 3)))) + "\n"
         assert self.notes(text, program_file, capsys) == 1155
+
+    def test_one_compile_per_request(self, program_file, monkeypatch, capsys):
+        # the encoding, the tightness verdict, admission and the notes all
+        # read one AnswerSetChecker; no dependency graph is built
+        calls = {"checker": 0, "graph": 0}
+        checker_init = tightlp.semantics.AnswerSetChecker.__init__
+        graph = tightlp.tightness.positive_dependency_graph
+
+        def counted_init(self, program):
+            calls["checker"] += 1
+            checker_init(self, program)
+
+        def counted_graph(program):
+            calls["graph"] += 1
+            return graph(program)
+
+        monkeypatch.setattr(tightlp.semantics.AnswerSetChecker, "__init__", counted_init)
+        monkeypatch.setattr(tightlp.tightness, "positive_dependency_graph", counted_graph)
+        assert run(["solve", program_file("p :- p.\n"), "--trace"]) == 0
+        assert "trace: {p} dropped" in capsys.readouterr().err
+        assert calls == {"checker": 1, "graph": 0}
 
 
 class TestEnumerate:

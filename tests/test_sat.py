@@ -45,7 +45,7 @@ from tightlp.semantics import AnswerSetChecker
 
 class TestClausify:
     def test_original_atoms_are_a_variable_prefix(self):
-        cnf = clausify(completion(parse_program("p :- q.\nq :- not r.")))
+        cnf = clausify(AnswerSetChecker(parse_program("p :- q.\nq :- not r.")))
         assert cnf.varmap == {Atom("p"): 1, Atom("q"): 2, Atom("r"): 3}
         assert cnf.num_vars >= 3
         assert all(
@@ -55,24 +55,24 @@ class TestClausify:
         )
 
     def test_negation_is_a_literal(self):
-        cnf = clausify(completion(parse_program("p :- not not p.\np :- p, q.")))
+        cnf = clausify(AnswerSetChecker(parse_program("p :- not not p.\np :- p, q.")))
         # p, q and the and-node; not not p is p itself, and the or-node is p
         assert cnf.num_vars == 3
         assert len(cnf.clauses) == 5
 
     def test_identical_subformulas_share_variables(self):
-        cnf = clausify(completion(parse_program("p :- q, r.\ns :- q, r.")))
+        cnf = clausify(AnswerSetChecker(parse_program("p :- q, r.\ns :- q, r.")))
         # p's variable is the and-node, and s's entry ties s to it
         assert cnf.num_vars == 4
         assert cnf.clauses[-2:] == ((-4, 1), (4, -1))
 
     def test_solver_sees_completion_models(self):
-        cnf = clausify(completion(parse_program("p :- p.")))
+        cnf = clausify(AnswerSetChecker(parse_program("p :- p.")))
         report = solve_all(cnf)
         assert report.models == (frozenset(), frozenset({Atom("p")}))
 
     def test_dimacs_golden(self):
-        cnf = clausify(completion(parse_program("q.\np :- q.")))
+        cnf = clausify(AnswerSetChecker(parse_program("q.\np :- q.")))
         assert to_dimacs(cnf) == (
             "c var 1 = p\n"
             "c var 2 = q\n"
@@ -83,7 +83,7 @@ class TestClausify:
         )
 
     def test_nary_disjunction_is_one_gate(self):
-        cnf = clausify(completion(parse_program("h :- a ; b ; c.")))
+        cnf = clausify(AnswerSetChecker(parse_program("h :- a ; b ; c.")))
         # a, b and c head no rule, so each is a unit clause; h's variable
         # is the one or-node: three binary clauses and one long clause,
         # with no variable of its own and no equivalence clauses
@@ -101,6 +101,34 @@ class TestClausify:
             "4 -3 0\n"
             "-4 1 2 3 0\n"
         )
+
+    def test_dimacs_golden_reaches_every_special_case(self):
+        # a's first body b ; c is spliced into its gate, which is a's own
+        # variable; y reuses x's gate; the constant variable 11 is made
+        # inside m's walk; gate 12 is the b, d that the first constraint
+        # left uncached; the choice rules' tautologies are dropped
+        cnf = clausify(
+            AnswerSetChecker(
+                parse_program(
+                    "a :- b ; c.  a :- d.  x :- b, c.  y :- b, c.  k :- not not e.\n"
+                    "e :- d, not a.  m :- a ; false.  g :- true.  {b}. {c}. {d}.\n"
+                    ":- b, d.  :- (b, d) ; c, x.\n"
+                )
+            )
+        )
+        header = "".join("c var %d = %s\n" % (i + 1, a) for i, a in enumerate("abcdegkmxy"))
+        clauses = (
+            "1 -2|1 -3|1 -4|-1 2 3 4|-5 4|-5 -1|5 -4 1|6|-7 5|7 -5|11|8 -1|8 11|-8 1 -11|"
+            "-9 2|-9 3|9 -2 -3|-10 9|10 -9|-2 -4|-12 2|-12 4|12 -2 -4|-13 3|-13 9|"
+            "13 -3 -9|14 -12|14 -13|-14 12 13|-14"
+        )
+        assert to_dimacs(cnf) == header + "p cnf 14 30\n" + "".join(
+            c + " 0\n" for c in clauses.split("|")
+        )
+
+    def test_needs_a_normal_program(self):
+        with pytest.raises(ValueError, match="eliminate_classical_negation"):
+            clausify(AnswerSetChecker(parse_program("p :- -q.")))
 
     def test_unit_propagation_decides_every_atom_assignment(self):
         # every auxiliary variable is fully defined: from any total
@@ -121,8 +149,9 @@ class TestClausify:
                 # a second head for some rule's body, so a gate is met again
                 extra = Rule(Literal(rng.choice(ATOMS[:4])), rng.choice(prog.rules).body)
                 prog = Program(prog.rules + (extra,))
-            comp = completion(eliminate_classical_negation(prog)[0])
-            cnf = clausify(comp)
+            target = eliminate_classical_negation(prog)[0]
+            comp = completion(target)
+            cnf = clausify(AnswerSetChecker(target))
             for bits in range(2 ** len(comp.atoms)):
                 true = {a for k, a in enumerate(comp.atoms) if bits >> k & 1}
                 start = {v if a in true else -v for a, v in cnf.varmap.items()}
@@ -182,14 +211,14 @@ class TestSolveAll:
         assert solve_all(cnf).models == (frozenset({Atom("a")}),)
 
     def test_deterministic_across_runs(self):
-        cnf = clausify(completion(parse_program("{a}.\n{b}.\n{c}.")))
+        cnf = clausify(AnswerSetChecker(parse_program("{a}.\n{b}.\n{c}.")))
         first = solve_all(cnf)
         second = solve_all(cnf)
         assert first.models == second.models
         assert len(first.models) == 8
 
     def test_model_cap(self):
-        cnf = clausify(completion(parse_program("{a}.\n{b}.\n{c}.")))
+        cnf = clausify(AnswerSetChecker(parse_program("{a}.\n{b}.\n{c}.")))
         assert len(solve_all(cnf, max_models=8).models) == 8
         with pytest.raises(ModelCapError):
             solve_all(cnf, max_models=7)
@@ -330,6 +359,29 @@ class TestAnswerSetsViaCompletion:
                 assert got[x] == expect
                 seen[expect] += 1
         assert min(seen[t] for t in (TAG_TIGHT_ON_MODEL, TAG_VERIFIED, None)) >= 10
+
+    def test_admission_on_the_rewritten_program_gives_the_original_verdicts(self):
+        # admission reads the checker of the classical-negation-free program:
+        # on every completion model, its verdicts mapped back through the
+        # rewriting's mapping are those of the original program's checker
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(300):
+            prog = random_program(
+                rng, n_atoms=4, max_rules=8, depth=3, classical=True, constraint_chance=0.2
+            )
+            target, mapping = eliminate_classical_negation(prog)
+            original, rewritten = AnswerSetChecker(prog), AnswerSetChecker(target)
+            renamed = {l: Literal(a) for a, l in mapping.items()}
+            for x in answer_sets_via_completion(prog).completion_models:
+                y = frozenset(renamed.get(l, l) for l in x)
+                tight = rewritten.is_tight_on(y)
+                assert tight is original.is_tight_on(x)
+                derived = [rewritten.literals[i] for i in rewritten.reduct_fixpoint(y)]
+                fixpoint = {original.literals[i] for i in original.reduct_fixpoint(x)}
+                assert {mapping.get(l.atom, l) for l in derived} == fixpoint
+                seen[tight, fixpoint == x] += 1
+        assert min(seen[k] for k in ((True, True), (False, True), (False, False))) >= 10
 
     def test_checker_matches_the_definitions_on_every_consistent_set(self):
         rng = random.Random(67)
