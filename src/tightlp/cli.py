@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 
@@ -11,7 +12,7 @@ from .syntax import (
     ParseError,
     Program,
     format_literal_set,
-    format_literal_sets,
+    format_ranked_sets,
     literal_key,
     parse_literals,
     parse_program,
@@ -94,30 +95,31 @@ def _cmd_tight(args) -> int:
 def _cmd_solve(args) -> int:
     program = _read_program(args.program)
     result = answer_sets_via_completion(program, max_models=args.max_models)
-    # one literal order for every set the request prints
-    lines = format_literal_sets(result.answer_sets + (result.dropped if args.trace else ()))
-    accepted = lines[: len(result.answer_sets)]
+    n = len(result.accepted)
+    rejected = result.rejected if args.trace else ()
+    # every set the request prints, each dropped model followed by its fixpoint
+    sets = [*result.accepted, *itertools.chain.from_iterable(rejected)]
+    lines = format_ranked_sets(result.literals, sets)
     if args.trace:
         stats = result.stats
         trace = [
             "trace: %d completion model(s), stats: %d decisions, %d propagations, %d conflicts"
-            % (len(result.completion_models), stats.decisions, stats.propagations, stats.conflicts)
+            % (n + len(rejected), stats.decisions, stats.propagations, stats.conflicts)
         ]
-        trace += ["trace: %s accepted [%s]" % pair for pair in zip(accepted, result.tags)]
+        trace += ["trace: %s accepted [%s]" % pair for pair in zip(lines, result.tags)]
         trace += [
-            "trace: %s dropped (not an answer set; reduct fixpoint is %s)"
-            % (text, format_literal_set(fixpoint))
-            for text, fixpoint in zip(lines[len(accepted) :], result.fixpoints)
+            "trace: %s dropped (not an answer set; reduct fixpoint is %s)" % pair
+            for pair in zip(lines[n::2], lines[n + 1 :: 2])
         ]
         _print_lines(trace, sys.stderr)
-    _print_lines(accepted)
+    _print_lines(lines[:n])
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     program = _read_program(args.program)
     sets = enumerate_answer_sets_bruteforce(program, bound=args.brute_bound)
-    _print_lines(format_literal_sets(sets))
+    _print_lines(map(format_literal_set, sets))
     return 0
 
 

@@ -4,9 +4,11 @@ two watched literals per clause and backtracks chronologically."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 from .syntax import And, Atom, Bottom, Literal, Not, Or, Program, Top
-from .syntax import eliminate_classical_negation, sorted_literal_sets
+from .syntax import eliminate_classical_negation, literal_key
 from .semantics import AnswerSetChecker, CapacityError, is_answer_set
 # unused here but rebound by perfbench/tracing.py: completion, is_absolutely_tight,
 # is_answer_set and is_tight_on
@@ -40,10 +42,18 @@ class SolveStats:
 
 @dataclass
 class SolveReport:
-    """The projected models, in the order the search found them."""
+    """The projected models, in the order the search found them, each as the
+    ascending positions of its true atoms in varmap order (``ids``)."""
 
-    models: tuple[frozenset[Atom], ...]
+    ids: tuple[tuple[int, ...], ...]
+    atoms: tuple[Atom, ...]
     stats: SolveStats
+
+    @cached_property
+    def models(self) -> tuple[frozenset[Atom], ...]:
+        """Each model as the set of its true atoms."""
+        atoms = self.atoms
+        return tuple(frozenset(map(atoms.__getitem__, m)) for m in self.ids)
 
 
 def clausify(checker: AnswerSetChecker) -> Cnf:
@@ -124,7 +134,8 @@ def clausify(checker: AnswerSetChecker) -> Cnf:
 
 
 def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
-    """All models projected onto the original atoms.
+    """All models projected onto the original atoms.  On clausify's CNF, a
+    model's positions are its checker's literal ids.
 
     Decisions go to the atoms in varmap order, false before true, and then to
     any auxiliary variable that propagation left open.  After a model or a
@@ -184,17 +195,17 @@ def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
             watches[lits[0]].append(lits)
             watches[lits[1]].append(lits)
         elif not lits or val[lits[0]] == -1:
-            return SolveReport((), stats)
+            return SolveReport((), tuple(cnf.varmap), stats)
         elif val[lits[0]] == 0:
             assign(lits[0])
             stats.propagations += 1
 
-    proj = list(cnf.varmap.items())
-    order = [v for _, v in proj]
-    projected = set(order)
-    order += [v for v in range(1, n + 1) if v not in projected]
+    proj = list(cnf.varmap.values())
+    projected = set(proj)
+    order = proj + [v for v in range(1, n + 1) if v not in projected]
     levels: list[list] = []  # [trail index of the decision, order index, flipped]
-    models: list[frozenset[Atom]] = []
+    models: list[tuple[int, ...]] = []
+    positions, is_true = range(len(proj)), (1).__eq__
     consistent = propagate()
     i = 0
     while True:
@@ -207,7 +218,8 @@ def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
                 assign(-order[i])
                 consistent = propagate()
                 continue
-            models.append(frozenset(a for a, v in proj if val[v] == 1))
+            # the positions whose variable is true, by C-level iterators
+            models.append(tuple(compress(positions, map(is_true, map(val.__getitem__, proj)))))
             if len(models) > max_models:
                 raise ModelCapError(f"more than {max_models} completion models")
         # a flipped level is exhausted; after a model, so is an auxiliary one
@@ -225,7 +237,7 @@ def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
         level[2] = True
         assign(-lit)
         consistent = propagate()
-    return SolveReport(tuple(models), stats)
+    return SolveReport(tuple(models), tuple(cnf.varmap), stats)
 
 
 def to_dimacs(cnf: Cnf) -> str:
@@ -235,21 +247,53 @@ def to_dimacs(cnf: Cnf) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class CompletionSolveResult:
     """Answer sets found through the completion, with how each was admitted.
 
-    completion_models holds every projected model (translated back to
-    literals); dropped holds the models that failed the answer set check,
-    and fixpoints the least fixpoint of the reduct relative to each of them.
+    ``literals`` lists the program's literals in literal_key order, and a
+    set's ranks are the ascending positions of its literals there.  Sets
+    sort by size, then by ranks.  ``accepted`` (the answer sets' ranks),
+    answer_sets and tags are built up front; the rest on first read:
+    ``rejected`` pairs the ranks of each dropped model (one that failed the
+    answer set check) and of its least reduct fixpoint, dropped and
+    fixpoints hold the same as literals, and completion_models every model.
     """
 
-    answer_sets: tuple[frozenset[Literal], ...]
-    tags: tuple[str, ...]
-    dropped: tuple[frozenset[Literal], ...]
-    fixpoints: tuple[tuple[Literal, ...], ...]
-    completion_models: tuple[frozenset[Literal], ...]
-    stats: SolveStats
+    def __init__(self, literals, rank, accepted, tags, dropped, stats: SolveStats):
+        """accepted and dropped hold id sets in search order, each dropped one
+        with its fixpoint's ids; rank[i] is the rank of id i."""
+        self.literals: list[Literal] = literals
+        self.stats = stats
+        self._rank, self._dropped = rank, dropped
+        pairs = sorted((self._key(m), tag) for m, tag in zip(accepted, tags))
+        self.accepted = tuple(ranks for (_, ranks), _ in pairs)
+        self.tags = tuple(tag for _, tag in pairs)
+        self.answer_sets = tuple(map(self._literal_set, self.accepted))
+
+    def _key(self, ids) -> tuple[int, tuple[int, ...]]:
+        """An id set's size and ranks, by which sets sort."""
+        return len(ids), tuple(sorted(map(self._rank.__getitem__, ids)))
+
+    def _literal_set(self, ranks) -> frozenset[Literal]:
+        return frozenset(map(self.literals.__getitem__, ranks))
+
+    @cached_property
+    def rejected(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        pairs = sorted((self._key(m), self._key(f)[1]) for m, f in self._dropped)
+        return tuple((ranks, fixpoint) for (_, ranks), fixpoint in pairs)
+
+    @cached_property
+    def dropped(self) -> tuple[frozenset[Literal], ...]:
+        return tuple(self._literal_set(ranks) for ranks, _ in self.rejected)
+
+    @cached_property
+    def fixpoints(self) -> tuple[tuple[Literal, ...], ...]:
+        return tuple(tuple(map(self.literals.__getitem__, f)) for _, f in self.rejected)
+
+    @cached_property
+    def completion_models(self) -> tuple[frozenset[Literal], ...]:
+        ranks = self.accepted + tuple(ranks for ranks, _ in self.rejected)
+        return tuple(map(self._literal_set, sorted(ranks, key=lambda r: (len(r), r))))
 
 
 def answer_sets_via_completion(
@@ -259,37 +303,37 @@ def answer_sets_via_completion(
 
     Classical negation is eliminated up front, and the result is compiled
     once, into the AnswerSetChecker that the encoding and admission read.
-    Models are mapped back and sorted.  An absolutely tight program admits
-    every model outright.  Else a model is admitted if the program is tight
-    on it (by the paper's theorem), failing that if its reduct fixpoint is
-    all of it; remaining models are dropped.
+    Admission reads the search's id sets.  An absolutely tight program
+    admits every model outright.  Else a model is admitted if the program
+    is tight on it (by the paper's theorem), failing that if its reduct
+    fixpoint is all of it; remaining models are dropped.  Only the answer
+    sets are mapped to literals and sorted here.
     """
     target, mapping = eliminate_classical_negation(program)
     checker = AnswerSetChecker(target)
     report = solve_all(clausify(checker), max_models=max_models)
-    # each id's literal of the program, so that set lookups meet its objects
-    names = [mapping.get(l.atom, l) for l in checker.literals]
-    literals = {l.atom: name for l, name in zip(checker.literals, names)}
-    models = tuple(
-        sorted_literal_sets(frozenset(map(literals.__getitem__, m)) for m in report.models)
-    )
+    literals, rank = checker.literals, range(checker.sink)
+    if mapping:
+        # each id's literal of the program, so that set lookups meet its
+        # objects; a_neg names -a, which can sort elsewhere
+        names = [mapping.get(l.atom, l) for l in literals]
+        literals = sorted(names, key=literal_key)
+        position = {l: r for r, l in enumerate(literals)}
+        rank = [position[l] for l in names]
+    models = report.ids
     if not checker.cyclic_rules:
         tags = (TAG_ABSOLUTELY_TIGHT,) * len(models)
-        return CompletionSolveResult(models, tags, (), (), models, report.stats)
-    accepted, tags, dropped, fixpoints = [], [], [], []
-    back = dict(zip(names, checker.literals)) if mapping else None
-    for x in models:
-        y = frozenset(map(back.__getitem__, x)) if back else x
-        tight = checker.is_tight_on(y)
+        return CompletionSolveResult(literals, rank, models, tags, (), report.stats)
+    accepted, tags, dropped = [], [], []
+    for m in models:
+        xs = frozenset(m)
+        tight = checker.is_tight_on(xs)
         # a completion model is a model of the program, so the walk runs to
         # the end and derives a subset of it
-        derived = None if tight else checker.reduct_fixpoint(y)
-        if tight or len(derived) == len(y):
-            accepted.append(x)
+        derived = None if tight else checker.reduct_fixpoint(xs)
+        if tight or len(derived) == len(xs):
+            accepted.append(m)
             tags.append(TAG_TIGHT_ON_MODEL if tight else TAG_VERIFIED)
         else:
-            dropped.append(x)
-            fixpoints.append(tuple(map(names.__getitem__, derived)))
-    return CompletionSolveResult(
-        tuple(accepted), tuple(tags), tuple(dropped), tuple(fixpoints), models, report.stats
-    )
+            dropped.append((m, derived))
+    return CompletionSolveResult(literals, rank, accepted, tags, dropped, report.stats)

@@ -122,16 +122,18 @@ class AnswerSetChecker:
     literal's disjunction of bodies (``disj``) and each constraint body
     (``constraints``) with their parts and ``not`` operands, and ``nodes``
     and ``parts`` give each id's formula and the ids of its parts.  The
-    reduct fixpoint walks them as an and/or DAG whose ``not F`` leaves are
-    read classically in the set (Dowling & Gallier).
+    checks take a set of literals as the set of their ids (``id_set``) and
+    read bodies on the nodes (``holds``).  The reduct fixpoint walks them as
+    an and/or DAG whose ``not F`` leaves are read classically in the set
+    (Dowling & Gallier).
 
     A cycle of the parent relation is a cycle of the positive dependency
     graph, so it lies in one of that graph's strongly connected components.
     ``cyclic_rules`` maps each head to the rules whose body has a positive
-    literal in the head's own component, each with those literals only:
-    exactly the edges that can lie on a cycle, self-loops included, so it is
-    empty exactly when the program is absolutely tight.  It and the DAG are
-    built on first read: clausify reads neither.
+    literal in the head's own component, each as its body's node with those
+    literals only: exactly the edges that can lie on a cycle, self-loops
+    included, so it is empty exactly when the program is absolutely tight.
+    It and the DAG are built on first read: clausify reads neither.
     """
 
     def __init__(self, program: Program):
@@ -139,33 +141,57 @@ class AnswerSetChecker:
         self.literals = sorted(program.universe, key=literal_key)
         ids = self.ids = {l: i for i, l in enumerate(self.literals)}
         n = self.sink = len(self.literals)
-        nodes = self.nodes = [*self.literals, None]
-        parts = self.parts = [[]] * (n + 1)
-
-        def node(f: Formula) -> int:
-            k = ids.get(f)
-            if k is None:
-                if isinstance(f, Not):
-                    got = [node(f.operand)]
-                else:
-                    got = [node(p) for p in f.parts] if isinstance(f, (And, Or)) else []
-                k = ids[f] = len(nodes)
-                nodes.append(f)
-                parts.append(got)
-            return k
-
+        self.nodes = [*self.literals, None]
+        self.parts = [[]] * (n + 1)
         bodies: list[list[Formula]] = [[] for _ in range(n + 1)]
         for r in self.rules:
             bodies[n if r.head is None else ids[r.head]].append(r.body)
-        self.disj = [node(disj_of(b)) for b in bodies[:n]]
-        self.constraints = [node(b) for b in bodies[n]]
+        self.disj = [self.node(disj_of(b)) for b in bodies[:n]]
+        self.constraints = [self.node(b) for b in bodies[n]]
+
+    def node(self, f: Formula) -> int:
+        """The id of a formula, numbered after its parts on first sight."""
+        k = self.ids.get(f)
+        if k is None:
+            if isinstance(f, Not):
+                got = [self.node(f.operand)]
+            else:
+                got = [self.node(p) for p in f.parts] if isinstance(f, (And, Or)) else []
+            k = self.ids[f] = len(self.nodes)
+            self.nodes.append(f)
+            self.parts.append(got)
+        return k
+
+    def id_set(self, x: Iterable[Literal]) -> set[int]:
+        """The ids of a set of the program's literals."""
+        ids = self.ids
+        return {ids[l] for l in x}
+
+    def holds(self, k: int, xs: set[int]) -> bool:
+        """Truth of node k in the set of ids xs, with ``not`` read classically,
+        as satisfies reads a formula; a literal part is read in place."""
+        sink = self.sink
+        if k < sink:
+            return k in xs
+        kind = type(self.nodes[k])
+        if kind is Not:
+            p = self.parts[k][0]
+            return not (p in xs if p < sink else self.holds(p, xs))
+        if kind is And or kind is Or:
+            decided = kind is Or  # the value of a part that decides the whole
+            for p in self.parts[k]:
+                if (p in xs if p < sink else self.holds(p, xs)) is decided:
+                    return decided
+            return not decided
+        return kind is Top
 
     @cached_property
-    def _dag(self) -> tuple[list[int], list[list[int]], list[tuple]]:
+    def _dag(self) -> tuple[list[int], list[list[int]], list[tuple[int, int]]]:
         """Each node's count of parts still to fire, its parents, and the
-        leaves: (node, F) for ``not F``, (node, None) for true.  A head reads
-        the parts of its disjunction.  A part's id is below its parents', so
-        one pass down the ids links just the nodes a head or constraint reads."""
+        leaves: (node, operand) for ``not F``, (node, -1) for true.  A head
+        reads the parts of its disjunction.  A part's id is below its
+        parents', so one pass down the ids links just the nodes a head or
+        constraint reads."""
         need = [1] * len(self.nodes)
         up: list[list[int]] = [[] for _ in need]
         for head, d in enumerate(self.disj):
@@ -173,11 +199,11 @@ class AnswerSetChecker:
                 up[p].append(head)
         for d in self.constraints:
             up[d].append(self.sink)
-        leaves: list[tuple] = []
+        leaves: list[tuple[int, int]] = []
         for k in range(len(self.nodes) - 1, self.sink, -1):
             f = self.nodes[k]
             if up[k] and isinstance(f, (Not, Top)):
-                leaves.append((k, f.operand if isinstance(f, Not) else None))
+                leaves.append((k, self.parts[k][0] if isinstance(f, Not) else -1))
             elif up[k] and isinstance(f, (And, Or)):
                 need[k] = len(self.parts[k]) if isinstance(f, And) else 1
                 for p in self.parts[k]:
@@ -185,7 +211,7 @@ class AnswerSetChecker:
         return need, up, leaves
 
     @cached_property
-    def cyclic_rules(self) -> dict[int, list[tuple]]:
+    def cyclic_rules(self) -> dict[int, list[tuple[int, list[int]]]]:
         rules = []  # (head, body, positive body literals) of each rule
         succ: list[list[int]] = [[] for _ in range(self.sink)]
         for r in self.rules:
@@ -196,49 +222,47 @@ class AnswerSetChecker:
                 for l in pos:
                     succ[l].append(head)
         comp = _strongly_connected_components(succ)
-        cyclic: dict[int, list[tuple]] = {}
+        cyclic: dict[int, list[tuple[int, list[int]]]] = {}
         for head, body, pos in rules:
             inside = [l for l in pos if comp[l] == comp[head]]
             if inside:
-                cyclic.setdefault(head, []).append((body, inside))
+                cyclic.setdefault(head, []).append((self.node(body), inside))
         return cyclic
 
-    def reduct_fixpoint(self, x: frozenset[Literal]) -> list[int] | None:
-        """The ids of the least fixpoint of the reduct relative to x, or None
-        once a derived head falls outside x or a constraint fires.  On a model
-        of the program neither happens: the fixpoint is a subset of x."""
+    def reduct_fixpoint(self, xs: set[int]) -> list[int] | None:
+        """The ids of the least fixpoint of the reduct relative to the id set
+        xs, or None once a derived head falls outside xs or a constraint fires.
+        On a model of the program neither happens: the fixpoint is in xs."""
         need, up, leaves = self._dag
-        ids, sink = self.ids, self.sink
-        xs = {ids[l] for l in x}
+        sink, holds = self.sink, self.holds
         need = need[:]
-        stack = [v for v, f in leaves if f is None or not satisfies(x, f)]
+        stack = [v for v, f in leaves if f < 0 or not (f in xs if f < sink else holds(f, xs))]
         while stack:
             for p in up[stack.pop()]:
-                if p <= sink and p not in xs:  # a head outside x, or a constraint
+                if p <= sink and p not in xs:  # a head outside xs, or a constraint
                     return None
                 need[p] -= 1
                 if not need[p]:
                     stack.append(p)
         return [i for i in xs if need[i] <= 0]
 
-    def is_reduct_fixpoint(self, x: frozenset[Literal]) -> bool:
-        """x is the least fixpoint of the reduct relative to x, and fires no
-        constraint: for a consistent x, x is an answer set."""
-        derived = self.reduct_fixpoint(x)
-        return derived is not None and len(derived) == len(x)
+    def is_reduct_fixpoint(self, xs: set[int]) -> bool:
+        """The id set xs is the least fixpoint of the reduct relative to xs,
+        and fires no constraint: for a consistent set, an answer set."""
+        derived = self.reduct_fixpoint(xs)
+        return derived is not None and len(derived) == len(xs)
 
-    def is_tight_on(self, x: frozenset[Literal]) -> bool:
-        """No cycle in the parent relation relative to x, by Kahn's algorithm
-        on the edges of the cyclic rules with head in x and body true in x."""
-        ids, cyclic = self.ids, self.cyclic_rules
-        xs = {ids[l] for l in x}
+    def is_tight_on(self, xs: set[int]) -> bool:
+        """No cycle in the parent relation relative to the id set xs, by Kahn's
+        algorithm on the edges of the cyclic rules with head in xs, body true."""
+        cyclic, holds = self.cyclic_rules, self.holds
         heads = xs.intersection(cyclic)
         succ: dict[int, list[int]] = {}
         waiting = dict.fromkeys(heads, 0)
         for h in heads:
             for body, pos in cyclic[h]:
                 parents = xs.intersection(pos)
-                if parents and satisfies(x, body):
+                if parents and holds(body, xs):
                     for l in parents:
                         succ.setdefault(l, []).append(h)
                         waiting[h] += 1
@@ -254,10 +278,10 @@ class AnswerSetChecker:
 def is_answer_set(x: frozenset[Literal], program: Program) -> bool:
     """x is the minimal consistent closed set of the reduct relative to x,
     by the compiled fixpoint."""
-    x = frozenset(x)
+    x, checker = frozenset(x), AnswerSetChecker(program)
     # the fixpoint alone would accept an inconsistent x such as {p, -p}
     possible = is_consistent(x) and x <= program.universe
-    return possible and AnswerSetChecker(program).is_reduct_fixpoint(x)
+    return possible and checker.is_reduct_fixpoint(checker.id_set(x))
 
 
 def enumerate_answer_sets_bruteforce(
@@ -275,8 +299,10 @@ def enumerate_answer_sets_bruteforce(
             "raise the bound to force exhaustive enumeration"
         )
     checker = AnswerSetChecker(program)
+    literals = checker.literals
     # literal_key order puts the literals of each atom side by side
-    by_atom = itertools.groupby(checker.literals, key=lambda l: l.atom)
-    groups = [[()] + [(l,) for l in lits] for _, lits in by_atom]
+    by_atom = itertools.groupby(range(checker.sink), key=lambda i: literals[i].atom)
+    groups = [[()] + [(i,) for i in ids] for _, ids in by_atom]
     subsets = (frozenset(itertools.chain.from_iterable(p)) for p in itertools.product(*groups))
-    return tuple(sorted_literal_sets(filter(checker.is_reduct_fixpoint, subsets)))
+    found = filter(checker.is_reduct_fixpoint, subsets)
+    return tuple(sorted_literal_sets(frozenset(map(literals.__getitem__, s)) for s in found))

@@ -9,6 +9,7 @@ built from literals, ``true``/``false``, ``not``, ``,`` (conjunction) and
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -125,15 +126,13 @@ def format_literal_set(x: Iterable[Literal]) -> str:
     return "{%s}" % ", ".join(str(l) for l in sorted(x, key=literal_key))
 
 
-def format_literal_sets(sets: Iterable[frozenset[Literal]]) -> list[str]:
-    """format_literal_set of each set, with each literal ranked and rendered
-    once for all of them."""
+def format_ranked_sets(literals: list[Literal], sets: Iterable[Iterable[int]]) -> list[str]:
+    """format_literal_set of each set given by its ranks, the ascending
+    positions of its literals in literals, a list in literal_key order; each
+    literal is rendered once for all of them."""
     sets = list(sets)
-    rank = literal_ranks(sets)
-    text = list(map(str, rank))
-    return [
-        "{%s}" % ", ".join([text[i] for i in sorted(map(rank.__getitem__, s))]) for s in sets
-    ]
+    text = {r: str(literals[r]) for r in set().union(*sets)}
+    return ["{%s}" % ", ".join(map(text.__getitem__, s)) for s in sets]
 
 
 @dataclass(frozen=True)
@@ -630,12 +629,15 @@ def is_normal(program: Program) -> bool:
 
 
 def _map_formula(f: Formula, table: dict[Literal, Literal]) -> Formula:
+    """f with each literal of table replaced; f itself when none occurs."""
     if isinstance(f, Literal):
         return table.get(f, f)
     if isinstance(f, Not):
-        return Not(_map_formula(f.operand, table))
+        operand = _map_formula(f.operand, table)
+        return f if operand is f.operand else Not(operand)
     if isinstance(f, (And, Or)):
-        return type(f)(*[_map_formula(part, table) for part in f.parts])
+        parts = [_map_formula(part, table) for part in f.parts]
+        return f if all(map(operator.is_, parts, f.parts)) else type(f)(*parts)
     return f
 
 
@@ -644,7 +646,8 @@ def eliminate_classical_negation(program: Program) -> tuple[Program, dict[Atom, 
 
     Returns the rewritten program and a mapping from each fresh atom back to
     the literal it replaced.  A normal program comes back unchanged with an
-    empty mapping.  Answer sets of the result, translated back through the
+    empty mapping, and so does each rule without a classically negated
+    literal.  Answer sets of the result, translated back through the
     mapping, are exactly the consistent answer sets of the input.
     """
     negated = {l.atom: l for l in program.universe if l.negated}
@@ -667,12 +670,16 @@ def eliminate_classical_negation(program: Program) -> tuple[Program, dict[Atom, 
         mapping[primed.atom] = negated[atom]
         constraints.append(Rule(None, And(Literal(atom), primed)))
 
-    rules = [
-        Rule(
-            table.get(r.head, r.head) if r.head is not None else None,
-            _map_formula(r.body, table),
-        )
-        for r in program.rules
-    ]
+    rules = []
+    for r in program.rules:
+        head = table.get(r.head, r.head)
+        body = _map_formula(r.body, table)
+        rules.append(r if head is r.head and body is r.body else Rule(head, body))
     declared = frozenset(table.get(l, l) for l in program.declared)
-    return Program(tuple(rules + constraints), declared), mapping
+    out = Program(tuple(rules + constraints), declared)
+    # the universe, derived from the source's rather than by walking every
+    # body again: each -a is a_neg, and each constraint adds a
+    universe = {table.get(l, l) for l in program.universe}
+    universe.update(r.body.parts[0] for r in constraints)
+    vars(out)["universe"] = frozenset(universe)
+    return out, mapping

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,11 @@ import pytest
 from conftest import consistent_subsets, random_program
 from reference import literal_set_key, minimal_closed_set, reduct
 import tightlp.cli
+import tightlp.sat
 import tightlp.semantics
+import tightlp.syntax
 import tightlp.tightness
-from tightlp import DefSpec, answer_sets_via_completion, def_rules
+from tightlp import BlocksSpec, DefSpec, answer_sets_via_completion, blocksworld_program, def_rules
 from tightlp.cli import run
 from tightlp.syntax import format_literal_set, literal_key, parse_literals, parse_program, render
 
@@ -271,6 +274,39 @@ class TestPrintedSets:
                 shuffled += sorted(map(str, x)) != [str(l) for l in sorted(x, key=literal_key)]
         assert shuffled >= 10
 
+    @pytest.mark.parametrize(
+        "extra, trace",
+        [
+            ("", ["{-b} accepted [absolutely-tight]", "{b0} accepted [absolutely-tight]"]),
+            ("b0 :- b0.\n", ["{-b} accepted [tight-on-model]", "{b0} accepted [verified]"]),
+            (
+                "c :- c.\n",
+                [
+                    "{-b} accepted [tight-on-model]",
+                    "{b0} accepted [tight-on-model]",
+                    "{-b, c} dropped (not an answer set; reduct fixpoint is {-b})",
+                    "{b0, c} dropped (not an answer set; reduct fixpoint is {b0})",
+                ],
+            ),
+        ],
+    )
+    def test_program_order_where_the_rewritten_order_differs(
+        self, extra, trace, program_file, capsys
+    ):
+        # -b sorts before b0, but its rewritten atom b_neg numbers after b0
+        path = program_file("-b :- not b0.\nb0 :- not -b.\n" + extra)
+        assert run(["solve", path]) == 0
+        assert capsys.readouterr() == ("{-b}\n{b0}\n", "")
+        assert run(["enumerate", path]) == 0
+        assert capsys.readouterr() == ("{-b}\n{b0}\n", "")
+        assert run(["solve", path, "--trace"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "{-b}\n{b0}\n"
+        lines = captured.err.splitlines()
+        assert lines[1:] == ["trace: " + line for line in trace]
+        for text in re.findall(r"\{[^}]*\}", captured.err):
+            assert format_literal_set(parse_literals(text)) == text
+
 
 DROPPED = re.compile(r"trace: (\{.*\}) dropped \(not an answer set; reduct fixpoint is (\{.*\})\)")
 
@@ -334,6 +370,32 @@ class TestTraceNotes:
         assert run(["solve", program_file("p :- p.\n"), "--trace"]) == 0
         assert "trace: {p} dropped" in capsys.readouterr().err
         assert calls == {"checker": 1, "graph": 0}
+
+    def test_solve_walks_no_formula_per_model(self, program_file, monkeypatch, capsys):
+        # blocks world 2x2 has classical negation and 43 completion models,
+        # all tight on the program: admission reads the search's id sets, and
+        # only the printed sets meet Literals, ranked once per request
+        names = ("satisfies", "sorted_literal_sets", "literal_ranks")
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        modules = (tightlp.syntax, tightlp.semantics, tightlp.sat, tightlp.cli)
+        assert all(any(hasattr(m, name) for m in modules) for name in names)
+        for module in modules:
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        text = render(blocksworld_program(BlocksSpec(("b1", "b2"), 2)))
+        assert run(["solve", program_file(text + "\n")]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 43
+        assert calls["satisfies"] == calls["sorted_literal_sets"] == 0
+        assert calls["literal_ranks"] <= 1
 
 
 class TestEnumerate:

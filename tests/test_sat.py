@@ -374,11 +374,12 @@ class TestAnswerSetsViaCompletion:
             original, rewritten = AnswerSetChecker(prog), AnswerSetChecker(target)
             renamed = {l: Literal(a) for a, l in mapping.items()}
             for x in answer_sets_via_completion(prog).completion_models:
-                y = frozenset(renamed.get(l, l) for l in x)
+                y = rewritten.id_set(renamed.get(l, l) for l in x)
+                xs = original.id_set(x)
                 tight = rewritten.is_tight_on(y)
-                assert tight is original.is_tight_on(x)
+                assert tight is original.is_tight_on(xs)
                 derived = [rewritten.literals[i] for i in rewritten.reduct_fixpoint(y)]
-                fixpoint = {original.literals[i] for i in original.reduct_fixpoint(x)}
+                fixpoint = {original.literals[i] for i in original.reduct_fixpoint(xs)}
                 assert {mapping.get(l.atom, l) for l in derived} == fixpoint
                 seen[tight, fixpoint == x] += 1
         assert min(seen[k] for k in ((True, True), (False, True), (False, False))) >= 10
@@ -392,11 +393,12 @@ class TestAnswerSetsViaCompletion:
             )
             checker = AnswerSetChecker(prog)
             for x in consistent_subsets(prog.universe):
-                assert checker.is_tight_on(x) is is_tight_on(prog, x)
+                xs = checker.id_set(x)
+                assert checker.is_tight_on(xs) is is_tight_on(prog, x)
                 least = minimal_closed_set(reduct(prog, x))
                 fixpoint = least == x
-                assert checker.is_reduct_fixpoint(x) is fixpoint
-                derived = checker.reduct_fixpoint(x)
+                assert checker.is_reduct_fixpoint(xs) is fixpoint
+                derived = checker.reduct_fixpoint(xs)
                 if derived is None:
                     # a derived head left x, or a constraint fired
                     assert least is None or not least <= x
@@ -415,7 +417,7 @@ class TestAnswerSetsViaCompletion:
             kept = sum(map(len, checker.cyclic_rules.values()))
             restricted += kept < sum(r.head is not None for r in prog.rules)
             for x in consistent_subsets(prog.universe):
-                tight = checker.is_tight_on(x)
+                tight = checker.is_tight_on(checker.id_set(x))
                 assert tight is is_tight_on(prog, x)
                 verdicts[tight] += 1
         assert min(verdicts.values()) >= 1000
@@ -432,7 +434,7 @@ class TestAnswerSetsViaCompletion:
         models = answer_sets_via_completion(prog).completion_models
         assert models
         for x in models:
-            assert checker.is_tight_on(x) is is_tight_on(prog, x)
+            assert checker.is_tight_on(checker.id_set(x)) is is_tight_on(prog, x)
 
     def test_free_closure_3_counts(self):
         choices = "".join("{p(%d,%d)}.\n" % (a, b) for a in (1, 2, 3) for b in (1, 2, 3))

@@ -566,6 +566,41 @@ class TestClassicalNegationRemoval:
             expect = set(enumerate_answer_sets_bruteforce(prog))
             assert got == expect
 
+    def test_rules_without_negated_literals_are_kept_as_they_are(self):
+        prog = p("p :- q, not (r ; not s).\n-q :- not p.\nr :- not not -q.\n#universe -t.")
+        out, _ = eliminate_classical_negation(prog)
+        assert out.rules[0] is prog.rules[0]
+        assert out.rules[1] is not prog.rules[1] and out.rules[2] is not prog.rules[2]
+        assert render(out).splitlines()[1:4] == [
+            "p :- q, not (r; not s).",
+            "q_neg :- not p.",
+            "r :- not not q_neg.",
+        ]
+
+    @pytest.mark.parametrize(
+        "seed, count, shape",
+        [
+            (47, 200, dict(n_atoms=4, max_rules=7, depth=3)),
+            (61, 300, dict(n_atoms=4, max_rules=8, depth=3, constraint_chance=0.2)),
+        ],
+    )
+    def test_derived_universe_is_the_rewritten_rules_universe(self, seed, count, shape):
+        # the sweeps of test_sat, every program with classical negation
+        rng = random.Random(seed)
+        kept = 0
+        for _ in range(count):
+            prog = random_program(rng, classical=True, **shape)
+            out, _ = eliminate_classical_negation(prog)
+            assert out.universe == Program(out.rules, out.declared).universe
+            for r, rewritten in zip(prog.rules, out.rules):
+                plain = not any(l.negated for l in regular_literals(r.body))
+                if plain and (r.head is None or not r.head.negated):
+                    assert rewritten is r
+                    kept += 1
+                else:
+                    assert rewritten != r
+        assert kept >= 100
+
 
 def test_merge_programs_concatenates():
     left = p("#universe x.\np.")
