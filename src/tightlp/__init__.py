@@ -31,7 +31,6 @@ from .syntax import (
     render,
     render_formula,
     render_rule,
-    sorted_literal_sets,
     term_key,
 )
 from .semantics import (

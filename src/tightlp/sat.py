@@ -8,7 +8,7 @@ from functools import cached_property
 from itertools import compress
 
 from .syntax import And, Atom, Bottom, Literal, Not, Or, Program, Top
-from .syntax import eliminate_classical_negation, literal_key
+from .syntax import eliminate_classical_negation, literal_key, ranked_set_key
 from .semantics import AnswerSetChecker, CapacityError, is_answer_set
 # unused here but rebound by perfbench/tracing.py: completion, is_absolutely_tight,
 # is_answer_set and is_tight_on
@@ -251,49 +251,30 @@ class CompletionSolveResult:
     """Answer sets found through the completion, with how each was admitted.
 
     ``literals`` lists the program's literals in literal_key order, and a
-    set's ranks are the ascending positions of its literals there.  Sets
-    sort by size, then by ranks.  ``accepted`` (the answer sets' ranks),
-    answer_sets and tags are built up front; the rest on first read:
-    ``rejected`` pairs the ranks of each dropped model (one that failed the
-    answer set check) and of its least reduct fixpoint, dropped and
-    fixpoints hold the same as literals, and completion_models every model.
+    set's ranks are the ascending positions of its literals there.  Each list
+    comes sorted by ranked_set_key: ``accepted`` holds the answer sets' ranks,
+    with ``tags`` saying how each was admitted, and ``rejected`` pairs the
+    ranks of each dropped model (one that failed the answer set check) with
+    those of its least reduct fixpoint.  answer_sets is built up front, and
+    dropped and completion_models, as sets of literals, on first read.
     """
 
-    def __init__(self, literals, rank, accepted, tags, dropped, stats: SolveStats):
-        """accepted and dropped hold id sets in search order, each dropped one
-        with its fixpoint's ids; rank[i] is the rank of id i."""
-        self.literals: list[Literal] = literals
-        self.stats = stats
-        self._rank, self._dropped = rank, dropped
-        pairs = sorted((self._key(m), tag) for m, tag in zip(accepted, tags))
-        self.accepted = tuple(ranks for (_, ranks), _ in pairs)
-        self.tags = tuple(tag for _, tag in pairs)
-        self.answer_sets = tuple(map(self._literal_set, self.accepted))
-
-    def _key(self, ids) -> tuple[int, tuple[int, ...]]:
-        """An id set's size and ranks, by which sets sort."""
-        return len(ids), tuple(sorted(map(self._rank.__getitem__, ids)))
+    def __init__(self, literals, accepted, tags, rejected, stats: SolveStats):
+        self.literals, self.accepted, self.tags = literals, accepted, tags
+        self.rejected, self.stats = rejected, stats
+        self.answer_sets = tuple(map(self._literal_set, accepted))
 
     def _literal_set(self, ranks) -> frozenset[Literal]:
         return frozenset(map(self.literals.__getitem__, ranks))
-
-    @cached_property
-    def rejected(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        pairs = sorted((self._key(m), self._key(f)[1]) for m, f in self._dropped)
-        return tuple((ranks, fixpoint) for (_, ranks), fixpoint in pairs)
 
     @cached_property
     def dropped(self) -> tuple[frozenset[Literal], ...]:
         return tuple(self._literal_set(ranks) for ranks, _ in self.rejected)
 
     @cached_property
-    def fixpoints(self) -> tuple[tuple[Literal, ...], ...]:
-        return tuple(tuple(map(self.literals.__getitem__, f)) for _, f in self.rejected)
-
-    @cached_property
     def completion_models(self) -> tuple[frozenset[Literal], ...]:
         ranks = self.accepted + tuple(ranks for ranks, _ in self.rejected)
-        return tuple(map(self._literal_set, sorted(ranks, key=lambda r: (len(r), r))))
+        return tuple(map(self._literal_set, sorted(ranks, key=ranked_set_key)))
 
 
 def answer_sets_via_completion(
@@ -307,33 +288,36 @@ def answer_sets_via_completion(
     admits every model outright.  Else a model is admitted if the program
     is tight on it (by the paper's theorem), failing that if its reduct
     fixpoint is all of it; remaining models are dropped.  Only the answer
-    sets are mapped to literals and sorted here.
+    sets are mapped to literals here.
     """
     target, mapping = eliminate_classical_negation(program)
     checker = AnswerSetChecker(target)
     report = solve_all(clausify(checker), max_models=max_models)
-    literals, rank = checker.literals, range(checker.sink)
+    accepted, rejected, literals = [], [], checker.literals
+    if not checker.cyclic_rules:
+        accepted = [(m, TAG_ABSOLUTELY_TIGHT) for m in report.ids]
+    else:
+        for m in report.ids:
+            xs = frozenset(m)
+            tight = checker.is_tight_on(xs)
+            # a completion model is a model of the program, so the walk runs
+            # to the end and derives a subset of it
+            derived = None if tight else checker.reduct_fixpoint(xs)
+            if tight or len(derived) == len(xs):
+                accepted.append((m, TAG_TIGHT_ON_MODEL if tight else TAG_VERIFIED))
+            else:
+                rejected.append((m, tuple(sorted(derived))))
     if mapping:
         # each id's literal of the program, so that set lookups meet its
         # objects; a_neg names -a, which can sort elsewhere
         names = [mapping.get(l.atom, l) for l in literals]
         literals = sorted(names, key=literal_key)
         position = {l: r for r, l in enumerate(literals)}
-        rank = [position[l] for l in names]
-    models = report.ids
-    if not checker.cyclic_rules:
-        tags = (TAG_ABSOLUTELY_TIGHT,) * len(models)
-        return CompletionSolveResult(literals, rank, models, tags, (), report.stats)
-    accepted, tags, dropped = [], [], []
-    for m in models:
-        xs = frozenset(m)
-        tight = checker.is_tight_on(xs)
-        # a completion model is a model of the program, so the walk runs to
-        # the end and derives a subset of it
-        derived = None if tight else checker.reduct_fixpoint(xs)
-        if tight or len(derived) == len(xs):
-            accepted.append(m)
-            tags.append(TAG_TIGHT_ON_MODEL if tight else TAG_VERIFIED)
-        else:
-            dropped.append((m, derived))
-    return CompletionSolveResult(literals, rank, accepted, tags, dropped, report.stats)
+        rank = [position[l] for l in names].__getitem__
+        accepted = [(tuple(sorted(map(rank, m))), tag) for m, tag in accepted]
+        rejected = [(tuple(sorted(map(rank, m))), tuple(sorted(map(rank, f)))) for m, f in rejected]
+    # else an id is its rank, and the search's id sets ascend
+    accepted.sort(key=lambda pair: ranked_set_key(pair[0]))
+    rejected.sort(key=lambda pair: ranked_set_key(pair[0]))
+    sets, tags = tuple(m for m, _ in accepted), tuple(tag for _, tag in accepted)
+    return CompletionSolveResult(literals, sets, tags, tuple(rejected), report.stats)

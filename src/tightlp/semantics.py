@@ -20,7 +20,7 @@ from .syntax import (
     disj_of,
     literal_key,
     positive_literals,
-    sorted_literal_sets,
+    ranked_set_key,
 )
 
 class CapacityError(RuntimeError):
@@ -111,6 +111,13 @@ def _strongly_connected_components(succ: list[list[int]]) -> list[int]:
                         if w == v:
                             break
     return comp
+
+
+def _ids(xs: set[int]) -> set[int]:
+    """xs, once one element is seen to be an id; Literals would get wrong verdicts."""
+    if xs and not isinstance(next(iter(xs)), int):
+        raise TypeError("expected a set of literal ids; map literals with id_set")
+    return xs
 
 
 class AnswerSetChecker:
@@ -235,7 +242,7 @@ class AnswerSetChecker:
         On a model of the program neither happens: the fixpoint is in xs."""
         need, up, leaves = self._dag
         sink, holds = self.sink, self.holds
-        need = need[:]
+        need, xs = need[:], _ids(xs)
         stack = [v for v, f in leaves if f < 0 or not (f in xs if f < sink else holds(f, xs))]
         while stack:
             for p in up[stack.pop()]:
@@ -256,7 +263,7 @@ class AnswerSetChecker:
         """No cycle in the parent relation relative to the id set xs, by Kahn's
         algorithm on the edges of the cyclic rules with head in xs, body true."""
         cyclic, holds = self.cyclic_rules, self.holds
-        heads = xs.intersection(cyclic)
+        heads = _ids(xs).intersection(cyclic)
         succ: dict[int, list[int]] = {}
         waiting = dict.fromkeys(heads, 0)
         for h in heads:
@@ -289,7 +296,7 @@ def enumerate_answer_sets_bruteforce(
 ) -> tuple[frozenset[Literal], ...]:
     """All answer sets, by checking every consistent subset of the universe.
 
-    Deterministic output order: by size, then lexicographically.  Refuses
+    Sorted by ranked_set_key, as solve sorts its answer sets.  Refuses
     universes larger than the bound.
     """
     size = len(program.universe)
@@ -304,5 +311,6 @@ def enumerate_answer_sets_bruteforce(
     by_atom = itertools.groupby(range(checker.sink), key=lambda i: literals[i].atom)
     groups = [[()] + [(i,) for i in ids] for _, ids in by_atom]
     subsets = (frozenset(itertools.chain.from_iterable(p)) for p in itertools.product(*groups))
-    found = filter(checker.is_reduct_fixpoint, subsets)
-    return tuple(sorted_literal_sets(frozenset(map(literals.__getitem__, s)) for s in found))
+    # an id is a literal_key position, so a set's sorted ids are its ranks
+    found = (tuple(sorted(s)) for s in subsets if checker.is_reduct_fixpoint(s))
+    return tuple(frozenset(map(literals.__getitem__, r)) for r in sorted(found, key=ranked_set_key))

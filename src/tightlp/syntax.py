@@ -108,20 +108,6 @@ def literal_key(l: Literal):
     return (*atom_key(l.atom), l.negated)
 
 
-def literal_ranks(sets: Iterable[frozenset[Literal]]) -> dict[Literal, int]:
-    """Each literal of the sets numbered in literal_key order, which is also
-    the dict's order; literal_key is called once per literal."""
-    return {l: i for i, l in enumerate(sorted(set().union(*sets), key=literal_key))}
-
-
-def sorted_literal_sets(sets: Iterable[frozenset[Literal]]) -> list[frozenset[Literal]]:
-    """The sets by size, then by their literals in literal_key order,
-    compared by the literals' ranks."""
-    sets = list(sets)
-    rank = literal_ranks(sets)
-    return sorted(sets, key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))
-
-
 def format_literal_set(x: Iterable[Literal]) -> str:
     return "{%s}" % ", ".join(str(l) for l in sorted(x, key=literal_key))
 
@@ -133,6 +119,12 @@ def format_ranked_sets(literals: list[Literal], sets: Iterable[Iterable[int]]) -
     sets = list(sets)
     text = {r: str(literals[r]) for r in set().union(*sets)}
     return ["{%s}" % ", ".join(map(text.__getitem__, s)) for s in sets]
+
+
+def ranked_set_key(ranks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The order of every list of answer sets: by size, then by ranks, the
+    ascending positions of a set's literals in literal_key order."""
+    return len(ranks), ranks
 
 
 @dataclass(frozen=True)
@@ -248,14 +240,6 @@ class Rule:
 
     head: Literal | None
     body: Formula = TRUE
-
-    @property
-    def is_constraint(self) -> bool:
-        return self.head is None
-
-    @property
-    def is_fact(self) -> bool:
-        return self.head is not None and self.body == TRUE
 
     def __str__(self) -> str:
         return render_rule(self)

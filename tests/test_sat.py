@@ -423,6 +423,23 @@ class TestAnswerSetsViaCompletion:
         assert min(verdicts.values()) >= 1000
         assert restricted >= 30
 
+    def test_checker_refuses_a_set_of_literals(self):
+        # on ids {p}, p :- p is a positive loop; read as Literals, the set used
+        # to look tight and fire nothing, with no error
+        checker = AnswerSetChecker(parse_program("p :- p.\nq :- not r."))
+        x = frozenset(parse_literals("p"))
+        for method in (checker.is_tight_on, checker.reduct_fixpoint, checker.is_reduct_fixpoint):
+            with pytest.raises(TypeError, match="id_set"):
+                method(x)
+        xs = checker.id_set(x)
+        assert checker.is_tight_on(xs) is False
+        assert checker.reduct_fixpoint(xs) is None  # q is derived outside {p}
+        assert checker.is_reduct_fixpoint(xs) is False
+        assert checker.is_tight_on(frozenset()) is True
+        assert checker.reduct_fixpoint(frozenset()) is None
+        q = checker.id_set(parse_literals("q"))
+        assert checker.is_reduct_fixpoint(q) is True
+
     @pytest.mark.parametrize(
         "name", ["blocks-2-2", "blocks-3-0", "closure-3", "closure-3-irreflexive"]
     )

@@ -1,9 +1,11 @@
 """``src/`` keeps only what runs: every top-level function and class of the
-package is used by other package code, shown in README, or called by the
-benchmark.  Helpers that only the tests need live in ``tests/reference.py``.
+package, and every method and property of its classes, is used by other
+package code, shown in README, or called by the benchmark.  Helpers that only
+the tests need live in ``tests/reference.py``.
 """
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -56,8 +58,42 @@ def unused_definitions() -> list[str]:
     return unused
 
 
+def attributes_read(node) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def unused_members() -> list[str]:
+    """Methods and properties that no package code reads as an attribute
+    outside their own body, that README and the benchmark do not name, and
+    that override nothing: a dunder or a base-class method is called for us
+    (argparse calls ``_ArgumentParser.error``)."""
+    modules = parsed(PACKAGE.glob("*.py"))
+    everywhere = sum((attributes_read(tree) for _, tree in modules), Counter())
+    used = readme_names() | benchmark_names()
+    unused = []
+    for path, tree in modules:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            module = importlib.import_module("tightlp." + path.stem)
+            bases = getattr(module, cls.name).__mro__[1:]
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                name = node.name
+                elsewhere = everywhere[name] - attributes_read(node)[name]
+                overrides = name.startswith("__") or any(hasattr(b, name) for b in bases)
+                if not elsewhere and name not in used and not overrides:
+                    unused.append("%s.%s.%s" % (path.stem, cls.name, name))
+    return unused
+
+
 def test_every_definition_in_src_is_used():
     assert unused_definitions() == []
+
+
+def test_every_method_and_property_in_src_is_used():
+    assert unused_members() == []
 
 
 def test_the_check_sees_package_code_readme_and_benchmark():
