@@ -19,7 +19,7 @@ from .syntax import (
     render,
 )
 from .semantics import AnswerSetChecker, CapacityError, is_consistent
-from .semantics import enumerate_answer_sets_bruteforce
+from .semantics import answer_set_ranks_bruteforce
 from .completion import completion, render_completion
 from .sat import answer_sets_via_completion, clausify, to_dimacs
 from .tightness import (
@@ -118,8 +118,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     program = _read_program(args.program)
-    sets = enumerate_answer_sets_bruteforce(program, bound=args.brute_bound)
-    _print_lines(map(format_literal_set, sets))
+    literals, ranks = answer_set_ranks_bruteforce(program, bound=args.brute_bound)
+    _print_lines(format_ranked_sets(literals, ranks))
     return 0
 
 

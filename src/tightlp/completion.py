@@ -29,10 +29,6 @@ class Completion:
     entries: tuple[tuple[Atom, Formula], ...]
     constraint_bodies: tuple[Formula, ...]
 
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(a for a, _ in self.entries)
-
 
 def completion(program: Program) -> Completion:
     if not is_normal(program):

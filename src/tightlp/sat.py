@@ -7,12 +7,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from .syntax import And, Atom, Bottom, Literal, Not, Or, Program, Top
-from .syntax import eliminate_classical_negation, literal_key, ranked_set_key
+from .syntax import And, Bottom, Literal, Not, Or, Program, Top, ranked_set_key
 from .semantics import AnswerSetChecker, CapacityError, is_answer_set
-# unused here but rebound by perfbench/tracing.py: completion, is_absolutely_tight,
-# is_answer_set and is_tight_on
+# unused here but rebound by perfbench/tracing.py: completion,
+# eliminate_classical_negation, is_absolutely_tight, is_answer_set and is_tight_on
 from .completion import completion
+from .syntax import eliminate_classical_negation
 from .tightness import is_absolutely_tight, is_tight_on
 
 TAG_ABSOLUTELY_TIGHT = "absolutely-tight"
@@ -26,11 +26,11 @@ class ModelCapError(CapacityError):
 
 @dataclass
 class Cnf:
-    """Clauses over variables 1..num_vars; original atoms form a prefix."""
+    """Clauses over variables 1..num_vars; the program's literals form a prefix."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
-    varmap: dict[Atom, int]
+    varmap: dict[Literal, int]
 
 
 @dataclass
@@ -43,23 +43,25 @@ class SolveStats:
 @dataclass
 class SolveReport:
     """The projected models, in the order the search found them, each as the
-    ascending positions of its true atoms in varmap order (``ids``)."""
+    ascending positions of its true literals in varmap order (``ids``)."""
 
     ids: tuple[tuple[int, ...], ...]
-    atoms: tuple[Atom, ...]
+    literals: tuple[Literal, ...]
     stats: SolveStats
 
     @cached_property
-    def models(self) -> tuple[frozenset[Atom], ...]:
-        """Each model as the set of its true atoms."""
-        atoms = self.atoms
-        return tuple(frozenset(map(atoms.__getitem__, m)) for m in self.ids)
+    def models(self) -> tuple[frozenset[Literal], ...]:
+        """Each model as the set of its true literals."""
+        literals = self.literals
+        return tuple(frozenset(map(literals.__getitem__, m)) for m in self.ids)
 
 
 def clausify(checker: AnswerSetChecker) -> Cnf:
-    """Tseitin translation of the completion of a normal program, read from
-    the nodes of its checker: every And or Or node is a gate whose variable
-    is equivalent to it, and a negation is the negated literal of its operand.
+    """Tseitin translation of the completion of a program, read from the
+    nodes of its checker: every And or Or node is a gate whose variable is
+    equivalent to it, and a negation is the negated literal of its operand.
+    Literal id i is variable i + 1, ``-a`` included, and a clause keeps each
+    literal apart from its contrary; literal_key puts ``a`` right before ``-a``.
 
     An n-ary gate takes n binary clauses that tie its variable to each part
     and one long clause that ties the parts back to it.  A completion entry
@@ -67,12 +69,10 @@ def clausify(checker: AnswerSetChecker) -> Cnf:
     needs no equivalence clauses; D = true or false gives a unit clause.  A
     constraint whose body is a new And is one clause of the negated parts.
     Every auxiliary variable is still fully defined, so unit propagation from
-    a total assignment of the atoms fixes all of them.
+    a total assignment of the literals fixes all of them.
     """
-    if any(l.negated for l in checker.literals):
-        raise ValueError("clausify needs a normal program; apply eliminate_classical_negation")
-    nodes, parts, n = checker.nodes, checker.parts, checker.sink
-    varmap = {l.atom: i + 1 for i, l in enumerate(checker.literals)}
+    nodes, parts, n, literals = checker.nodes, checker.parts, checker.sink, checker.literals
+    varmap = {l: i + 1 for i, l in enumerate(literals)}
     clauses: list[tuple[int, ...]] = []
     # the CNF literal of each node, 0 until walked; literal id i is variable i + 1
     lit_of = [*range(1, n + 1)] + [0] * (len(nodes) - n)
@@ -130,20 +130,27 @@ def clausify(checker: AnswerSetChecker) -> Cnf:
             emit(tuple(-walk(p) for p in parts[d]))
         else:
             emit((-walk(d),))
+    for v in range(1, n):
+        if literals[v].negated and literals[v].atom == literals[v - 1].atom:
+            clauses.append((-v, -(v + 1)))
+    # walk reaches itself through its closure cell; left in place, that cycle
+    # would hold nodes, parts and clauses until the cyclic collector ran
+    del walk
     return Cnf(state["next"], tuple(clauses), varmap)
 
 
 def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
-    """All models projected onto the original atoms.  On clausify's CNF, a
-    model's positions are its checker's literal ids.
+    """All models projected onto the varmap's variables.  On clausify's CNF,
+    a model's positions are its checker's literal ids.
 
-    Decisions go to the atoms in varmap order, false before true, and then to
-    any auxiliary variable that propagation left open.  After a model or a
-    conflict the search backtracks chronologically to the last decision not
-    yet flipped and flips it; after a model, auxiliary decisions are dropped
-    first, since they only showed that some extension exists.  So each
-    projected model is found once, with no blocking clauses and no restarts,
-    and the models come back unsorted, in that order, fixed for a given CNF.
+    Decisions go to the varmap's variables in varmap order, false before
+    true, and then to any auxiliary variable that propagation left open.
+    After a model or a conflict the search backtracks chronologically to the
+    last decision not yet flipped and flips it; after a model, auxiliary
+    decisions are dropped first, since they only showed that some extension
+    exists.  So each projected model is found once, with no blocking clauses
+    and no restarts, and the models come back unsorted, in that order, fixed
+    for a given CNF.
     """
     stats = SolveStats()
     n = cnf.num_vars
@@ -282,18 +289,17 @@ def answer_sets_via_completion(
 ) -> CompletionSolveResult:
     """Completion, clausification, all-models search, then admission.
 
-    Classical negation is eliminated up front, and the result is compiled
-    once, into the AnswerSetChecker that the encoding and admission read.
-    Admission reads the search's id sets.  An absolutely tight program
-    admits every model outright.  Else a model is admitted if the program
-    is tight on it (by the paper's theorem), failing that if its reduct
-    fixpoint is all of it; remaining models are dropped.  Only the answer
-    sets are mapped to literals here.
+    The program, contraries included, is compiled once, into the
+    AnswerSetChecker that the encoding and admission read.  Admission reads
+    the search's id sets.  An absolutely tight program admits every model
+    outright.  Else a model is admitted if the program is tight on it (by
+    the paper's theorem), failing that if its reduct fixpoint is all of it;
+    remaining models are dropped.  Only the answer sets are mapped to
+    literals here.
     """
-    target, mapping = eliminate_classical_negation(program)
-    checker = AnswerSetChecker(target)
+    checker = AnswerSetChecker(program)
     report = solve_all(clausify(checker), max_models=max_models)
-    accepted, rejected, literals = [], [], checker.literals
+    accepted, rejected = [], []
     if not checker.cyclic_rules:
         accepted = [(m, TAG_ABSOLUTELY_TIGHT) for m in report.ids]
     else:
@@ -307,17 +313,8 @@ def answer_sets_via_completion(
                 accepted.append((m, TAG_TIGHT_ON_MODEL if tight else TAG_VERIFIED))
             else:
                 rejected.append((m, tuple(sorted(derived))))
-    if mapping:
-        # each id's literal of the program, so that set lookups meet its
-        # objects; a_neg names -a, which can sort elsewhere
-        names = [mapping.get(l.atom, l) for l in literals]
-        literals = sorted(names, key=literal_key)
-        position = {l: r for r, l in enumerate(literals)}
-        rank = [position[l] for l in names].__getitem__
-        accepted = [(tuple(sorted(map(rank, m))), tag) for m, tag in accepted]
-        rejected = [(tuple(sorted(map(rank, m))), tuple(sorted(map(rank, f)))) for m, f in rejected]
-    # else an id is its rank, and the search's id sets ascend
+    # an id is its rank, and the search's id sets ascend
     accepted.sort(key=lambda pair: ranked_set_key(pair[0]))
     rejected.sort(key=lambda pair: ranked_set_key(pair[0]))
     sets, tags = tuple(m for m, _ in accepted), tuple(tag for _, tag in accepted)
-    return CompletionSolveResult(literals, sets, tags, tuple(rejected), report.stats)
+    return CompletionSolveResult(checker.literals, sets, tags, tuple(rejected), report.stats)

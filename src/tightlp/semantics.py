@@ -291,10 +291,11 @@ def is_answer_set(x: frozenset[Literal], program: Program) -> bool:
     return possible and checker.is_reduct_fixpoint(checker.id_set(x))
 
 
-def enumerate_answer_sets_bruteforce(
+def answer_set_ranks_bruteforce(
     program: Program, bound: int = 24
-) -> tuple[frozenset[Literal], ...]:
-    """All answer sets, by checking every consistent subset of the universe.
+) -> tuple[list[Literal], list[tuple[int, ...]]]:
+    """The program's literals in literal_key order and the ranks of every
+    answer set, found by checking every consistent subset of the universe.
 
     Sorted by ranked_set_key, as solve sorts its answer sets.  Refuses
     universes larger than the bound.
@@ -313,4 +314,13 @@ def enumerate_answer_sets_bruteforce(
     subsets = (frozenset(itertools.chain.from_iterable(p)) for p in itertools.product(*groups))
     # an id is a literal_key position, so a set's sorted ids are its ranks
     found = (tuple(sorted(s)) for s in subsets if checker.is_reduct_fixpoint(s))
-    return tuple(frozenset(map(literals.__getitem__, r)) for r in sorted(found, key=ranked_set_key))
+    return literals, sorted(found, key=ranked_set_key)
+
+
+def enumerate_answer_sets_bruteforce(
+    program: Program, bound: int = 24
+) -> tuple[frozenset[Literal], ...]:
+    """All answer sets, by brute force, as sets of literals in the order of
+    answer_set_ranks_bruteforce."""
+    literals, ranks = answer_set_ranks_bruteforce(program, bound)
+    return tuple(frozenset(map(literals.__getitem__, r)) for r in ranks)

@@ -660,10 +660,4 @@ def eliminate_classical_negation(program: Program) -> tuple[Program, dict[Atom, 
         body = _map_formula(r.body, table)
         rules.append(r if head is r.head and body is r.body else Rule(head, body))
     declared = frozenset(table.get(l, l) for l in program.declared)
-    out = Program(tuple(rules + constraints), declared)
-    # the universe, derived from the source's rather than by walking every
-    # body again: each -a is a_neg, and each constraint adds a
-    universe = {table.get(l, l) for l in program.universe}
-    universe.update(r.body.parts[0] for r in constraints)
-    vars(out)["universe"] = frozenset(universe)
-    return out, mapping
+    return Program(tuple(rules + constraints), declared), mapping

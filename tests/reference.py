@@ -6,8 +6,10 @@ the reduct of a program relative to a set and its least closed set (after
 Lifschitz, Tang & Turner, "Nested expressions in logic programs", 1999),
 supportedness and satisfaction of the completion, the transitive closure
 of a relation, and direct counts of n-queens solutions and blocks-world
-histories.  None of it is part of the package: ``src/`` imports nothing
-from here.
+histories.  ``solve_through_the_rewrite`` is the one exception: it keeps
+the solver's earlier path for programs with contraries, which rewrote each
+``-a`` to a fresh atom, so that the program as written can be held to it.
+None of it is part of the package: ``src/`` imports nothing from here.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from typing import Iterable
 
 from tightlp import (
     FALSE,
+    TAG_ABSOLUTELY_TIGHT,
+    TAG_TIGHT_ON_MODEL,
+    TAG_VERIFIED,
     TRUE,
     And,
     Atom,
@@ -29,19 +34,54 @@ from tightlp import (
     Or,
     Program,
     Rule,
+    clausify,
+    eliminate_classical_negation,
     is_consistent,
     literal_key,
     p_extent,
     parent_graph,
     positive_literals,
     satisfies,
+    solve_all,
 )
+from tightlp.semantics import AnswerSetChecker
 from tightlp.transitive_closure import Pair, _extent, _pair_literals
 
 
 def literal_set_key(x: Iterable[Literal]):
     lits = sorted(literal_key(l) for l in x)
     return (len(lits), lits)
+
+
+def solve_through_the_rewrite(program: Program, max_models: int = 10000):
+    """The answer sets with their tags, the dropped completion models each
+    paired with its reduct fixpoint, and the number of completion models,
+    all as sets of the program's literals in literal_set_key order, found
+    by rewriting each ``-a`` to ``a_neg`` plus ``:- a, a_neg.``, compiling
+    and clausifying the rewrite, searching it, admitting each model on the
+    rewrite's checker and mapping the sets back."""
+    target, mapping = eliminate_classical_negation(program)
+    checker = AnswerSetChecker(target)
+    report = solve_all(clausify(checker), max_models=max_models)
+    names = [mapping.get(l.atom, l) for l in checker.literals]
+
+    def original(ids) -> frozenset[Literal]:
+        return frozenset(names[i] for i in ids)
+
+    accepted, dropped = [], []
+    for m in report.ids:
+        xs = frozenset(m)
+        if not checker.cyclic_rules:
+            accepted.append((original(m), TAG_ABSOLUTELY_TIGHT))
+        elif checker.is_tight_on(xs):
+            accepted.append((original(m), TAG_TIGHT_ON_MODEL))
+        elif checker.is_reduct_fixpoint(xs):
+            accepted.append((original(m), TAG_VERIFIED))
+        else:
+            dropped.append((original(m), original(checker.reduct_fixpoint(xs))))
+    accepted.sort(key=lambda pair: literal_set_key(pair[0]))
+    dropped.sort(key=lambda pair: literal_set_key(pair[0]))
+    return tuple(accepted), tuple(dropped), len(report.ids)
 
 
 def reduct_formula(formula: Formula, x: frozenset[Literal]) -> Formula:

@@ -79,7 +79,7 @@ def atoms_of(x):
 def completion_model_sweep(prog):
     """Models of the completion found by exhaustive assignment."""
     comp = completion(prog)
-    pool = sorted(comp.atoms, key=str)
+    pool = sorted((a for a, _ in comp.entries), key=str)
     models = []
     for bits in range(2 ** len(pool)):
         atoms = frozenset(a for i, a in enumerate(pool) if bits >> i & 1)

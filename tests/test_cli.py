@@ -1,5 +1,6 @@
 """Command line behavior: output goldens, exit codes, stdin plumbing."""
 
+import gc
 import io
 import itertools
 import os
@@ -190,6 +191,14 @@ class TestSolve:
     def test_classical_negation_round_trips(self, program_file, capsys):
         assert run(["solve", program_file(CONTRARY)]) == 0
         assert capsys.readouterr().out == "{p}\n{-q}\n"
+
+    def test_contraries_are_solved_as_written(self, program_file, capsys):
+        # q_neg is the name dimacs gives -q; solve reads -q as a literal of its own
+        path = program_file("q_neg.\np :- -q.\n")
+        assert run(["solve", path]) == 0
+        assert capsys.readouterr().out == "{q_neg}\n"
+        assert run(["dimacs", path]) == 1
+        assert "collides" in capsys.readouterr().err
 
     def test_trace_marks_dropped_models(self, program_file, capsys):
         assert run(["solve", program_file("p :- p.\n"), "--trace"]) == 0
@@ -444,6 +453,23 @@ def wide_program(shape, n):
     if shape == "andnot":
         return "h :- %s.\n" % ", ".join("not b(%d)" % i for i in range(1, n + 1))
     return "h :- %s.\n" % "; ".join("a(%d)" % i for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["dimacs"], ["tight"], ["tight", "--on", "h"], ["complete"], ["parse"]]
+)
+def test_a_request_leaves_no_reference_cycles(program_file, capsys, argv):
+    # a cycle would hold the request's clauses and compiled nodes until the
+    # cyclic collector ran
+    path = program_file(wide_program("head", 300) + "".join("a(%d).\n" % i for i in range(1, 301)))
+    assert run([argv[0], path, *argv[1:]]) == 0  # the first call sets up lazily
+    gc.collect()
+    gc.disable()
+    try:
+        assert run([argv[0], path, *argv[1:]]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestDeepInputs:

@@ -47,7 +47,7 @@ class TestCompletionStructure:
     def test_bodies_group_by_head(self):
         comp = completion(parse_program("p :- q.\np :- not r.\n:- p, q."))
         p, q, r = Atom("p"), Atom("q"), Atom("r")
-        assert comp.atoms == (p, q, r)
+        assert tuple(a for a, _ in comp.entries) == (p, q, r)
         lp, lq, lr = (Literal(a) for a in (p, q, r))
         entries = dict(comp.entries)
         assert entries[p] == Or(lq, Not(lr))
@@ -57,7 +57,7 @@ class TestCompletionStructure:
 
     def test_declared_atoms_get_entries(self):
         comp = completion(parse_program("#universe t.\np."))
-        assert Atom("t") in comp.atoms
+        assert Atom("t") in dict(comp.entries)
 
     def test_requires_a_normal_program(self):
         with pytest.raises(ValueError, match="eliminate_classical_negation"):

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import ATOMS, consistent_subsets, random_formula, random_program
-from reference import minimal_closed_set, reduct, satisfies_completion
+from reference import minimal_closed_set, reduct, satisfies_completion, solve_through_the_rewrite
 from tightlp import (
     And,
     Atom,
@@ -37,6 +37,7 @@ from tightlp import (
     parse_literals,
     parse_program,
     queens_program,
+    regular_literals,
     solve_all,
     to_dimacs,
 )
@@ -46,7 +47,7 @@ from tightlp.semantics import AnswerSetChecker
 class TestClausify:
     def test_original_atoms_are_a_variable_prefix(self):
         cnf = clausify(AnswerSetChecker(parse_program("p :- q.\nq :- not r.")))
-        assert cnf.varmap == {Atom("p"): 1, Atom("q"): 2, Atom("r"): 3}
+        assert cnf.varmap == {Literal(Atom("p")): 1, Literal(Atom("q")): 2, Literal(Atom("r")): 3}
         assert cnf.num_vars >= 3
         assert all(
             lit != 0 and abs(lit) <= cnf.num_vars
@@ -69,7 +70,7 @@ class TestClausify:
     def test_solver_sees_completion_models(self):
         cnf = clausify(AnswerSetChecker(parse_program("p :- p.")))
         report = solve_all(cnf)
-        assert report.models == (frozenset(), frozenset({Atom("p")}))
+        assert report.models == (frozenset(), frozenset({Literal(Atom("p"))}))
 
     def test_dimacs_golden(self):
         cnf = clausify(AnswerSetChecker(parse_program("q.\np :- q.")))
@@ -126,9 +127,12 @@ class TestClausify:
             c + " 0\n" for c in clauses.split("|")
         )
 
-    def test_needs_a_normal_program(self):
-        with pytest.raises(ValueError, match="eliminate_classical_negation"):
-            clausify(AnswerSetChecker(parse_program("p :- -q.")))
+    def test_contraries_are_literals_of_their_own(self):
+        # -q is a variable of its own, and one clause keeps q and -q apart
+        cnf = clausify(AnswerSetChecker(parse_program("q :- not -q.\n-q :- not q.\np :- -q.")))
+        models = solve_all(cnf).models
+        assert len(models) == 2
+        assert set(models) == {parse_literals("q"), parse_literals("-q, p")}
 
     def test_unit_propagation_decides_every_atom_assignment(self):
         # every auxiliary variable is fully defined: from any total
@@ -152,9 +156,10 @@ class TestClausify:
             target = eliminate_classical_negation(prog)[0]
             comp = completion(target)
             cnf = clausify(AnswerSetChecker(target))
-            for bits in range(2 ** len(comp.atoms)):
-                true = {a for k, a in enumerate(comp.atoms) if bits >> k & 1}
-                start = {v if a in true else -v for a, v in cnf.varmap.items()}
+            atoms = [a for a, _ in comp.entries]
+            for bits in range(2 ** len(atoms)):
+                true = {a for k, a in enumerate(atoms) if bits >> k & 1}
+                start = {v if l.atom in true else -v for l, v in cnf.varmap.items()}
                 derived = _unit_propagate(cnf.clauses, start)
                 if satisfies_completion(true, comp):
                     assert derived is not None
@@ -383,6 +388,50 @@ class TestAnswerSetsViaCompletion:
                 assert {mapping.get(l.atom, l) for l in derived} == fixpoint
                 seen[tight, fixpoint == x] += 1
         assert min(seen[k] for k in ((True, True), (False, True), (False, False))) >= 10
+
+    def test_program_as_written_matches_the_rewrite(self):
+        # the same answer sets, tags, dropped models with their fixpoints and
+        # completion-model count as solving the rewrite, so --max-models caps
+        # at the same count.  The random rules use at most a-d; the additions
+        # bring in -e, whose atom never occurs, #universe declarations of
+        # contraries and constraints over contraries
+        rng = random.Random(73)
+        seen = Counter()
+        for i in range(600):
+            prog = random_program(
+                rng, n_atoms=rng.randint(2, 4), max_rules=8, depth=3, classical=True,
+                constraint_chance=0.2,
+            )
+            rules, declared = list(prog.rules), set()
+            contraries = [Literal(a, True) for a in ATOMS]
+            if rng.random() < 0.3:
+                rules.append(Rule(Literal(ATOMS[4], True), random_formula(rng, contraries, 2)))
+            if rng.random() < 0.3:
+                declared.add(rng.choice(contraries))
+            if rng.random() < 0.3:
+                rules.append(Rule(None, random_formula(rng, contraries[:3], 2)))
+            prog = Program(tuple(rules), frozenset(declared))
+            result = answer_sets_via_completion(prog)
+            accepted, dropped, count = solve_through_the_rewrite(prog)
+            assert tuple(zip(result.answer_sets, result.tags)) == accepted
+            fixpoints = [frozenset(map(result.literals.__getitem__, f)) for _, f in result.rejected]
+            assert tuple(zip(result.dropped, fixpoints)) == dropped
+            assert len(result.completion_models) == count
+            if count and i % 5 == 0:
+                with pytest.raises(ModelCapError):
+                    answer_sets_via_completion(prog, max_models=count - 1)
+            universe = prog.universe
+            seen["lone contrary"] += any(
+                l.negated and Literal(l.atom) not in universe for l in universe
+            )
+            seen["declared"] += bool(declared)
+            seen["contrary constraint"] += any(
+                r.head is None and any(l.negated for l in regular_literals(r.body))
+                for r in prog.rules
+            )
+            seen["dropped"] += bool(dropped)
+            seen.update(tag for _, tag in accepted)
+        assert min(seen.values()) >= 30, seen
 
     def test_checker_matches_the_definitions_on_every_consistent_set(self):
         rng = random.Random(67)
