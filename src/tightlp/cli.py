@@ -176,7 +176,9 @@ def build_parser() -> _ArgumentParser:
     add_program_cmd("parse", _cmd_parse, "echo the program in canonical form")
     add_program_cmd("complete", _cmd_complete, "print the completion")
     p = add_program_cmd("tight", _cmd_tight, "tightness verdict")
-    p.add_argument("--on", help="comma-separated literals; check tightness on this set")
+    p.add_argument(
+        "--on", help="comma-separated literals to check tightness on; --on=-q,p if -q comes first"
+    )
     p = add_program_cmd("solve", _cmd_solve, "answer sets via completion and SAT")
     p.add_argument(
         "--max-models",

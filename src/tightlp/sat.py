@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 
 from .syntax import And, Bottom, Literal, Not, Or, Program, Top, ranked_set_key
 from .semantics import AnswerSetChecker, CapacityError, is_answer_set
@@ -26,11 +26,11 @@ class ModelCapError(CapacityError):
 
 @dataclass
 class Cnf:
-    """Clauses over variables 1..num_vars; the program's literals form a prefix."""
+    """Clauses over variables 1..num_vars; variable i + 1 names literals[i]."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
-    varmap: dict[Literal, int]
+    literals: tuple[Literal, ...]
 
 
 @dataclass
@@ -43,7 +43,7 @@ class SolveStats:
 @dataclass
 class SolveReport:
     """The projected models, in the order the search found them, each as the
-    ascending positions of its true literals in varmap order (``ids``)."""
+    ascending numbers of its true named variables, less one (``ids``)."""
 
     ids: tuple[tuple[int, ...], ...]
     literals: tuple[Literal, ...]
@@ -72,7 +72,6 @@ def clausify(checker: AnswerSetChecker) -> Cnf:
     a total assignment of the literals fixes all of them.
     """
     nodes, parts, n, literals = checker.nodes, checker.parts, checker.sink, checker.literals
-    varmap = {l: i + 1 for i, l in enumerate(literals)}
     clauses: list[tuple[int, ...]] = []
     # the CNF literal of each node, 0 until walked; literal id i is variable i + 1
     lit_of = [*range(1, n + 1)] + [0] * (len(nodes) - n)
@@ -136,15 +135,15 @@ def clausify(checker: AnswerSetChecker) -> Cnf:
     # walk reaches itself through its closure cell; left in place, that cycle
     # would hold nodes, parts and clauses until the cyclic collector ran
     del walk
-    return Cnf(state["next"], tuple(clauses), varmap)
+    return Cnf(state["next"], tuple(clauses), tuple(literals))
 
 
 def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
-    """All models projected onto the varmap's variables.  On clausify's CNF,
-    a model's positions are its checker's literal ids.
+    """All models projected onto the named variables 1..k; on clausify's
+    CNF, a model's ids are its checker's literal ids.
 
-    Decisions go to the varmap's variables in varmap order, false before
-    true, and then to any auxiliary variable that propagation left open.
+    Decisions go to the variables in number order, false before true: the
+    named ones first, then any auxiliary one that propagation left open.
     After a model or a conflict the search backtracks chronologically to the
     last decision not yet flipped and flips it; after a model, auxiliary
     decisions are dropped first, since they only showed that some extension
@@ -153,7 +152,7 @@ def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
     for a given CNF.
     """
     stats = SolveStats()
-    n = cnf.num_vars
+    n, k = cnf.num_vars, len(cnf.literals)
     # Indexed by literal: entry -v sits at 2n+1-v, so both polarities fit.
     val = [0] * (2 * n + 1)
     watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
@@ -202,53 +201,49 @@ def solve_all(cnf: Cnf, max_models: int = 10000) -> SolveReport:
             watches[lits[0]].append(lits)
             watches[lits[1]].append(lits)
         elif not lits or val[lits[0]] == -1:
-            return SolveReport((), tuple(cnf.varmap), stats)
+            return SolveReport((), cnf.literals, stats)
         elif val[lits[0]] == 0:
             assign(lits[0])
             stats.propagations += 1
 
-    proj = list(cnf.varmap.values())
-    projected = set(proj)
-    order = proj + [v for v in range(1, n + 1) if v not in projected]
-    levels: list[list] = []  # [trail index of the decision, order index, flipped]
+    levels: list[list] = []  # [trail index of the decision, its variable, flipped]
     models: list[tuple[int, ...]] = []
-    positions, is_true = range(len(proj)), (1).__eq__
+    ids, is_true = range(k), (1).__eq__
     consistent = propagate()
-    i = 0
+    v = 1
     while True:
         if consistent:
-            while i < len(order) and val[order[i]]:
-                i += 1
-            if i < len(order):
+            while v <= n and val[v]:
+                v += 1
+            if v <= n:
                 stats.decisions += 1
-                levels.append([len(trail), i, False])
-                assign(-order[i])
+                levels.append([len(trail), v, False])
+                assign(-v)
                 consistent = propagate()
                 continue
-            # the positions whose variable is true, by C-level iterators
-            models.append(tuple(compress(positions, map(is_true, map(val.__getitem__, proj)))))
+            # the ids whose variable is true, by C-level iterators over val[1..k]
+            models.append(tuple(compress(ids, map(is_true, islice(val, 1, k + 1)))))
             if len(models) > max_models:
                 raise ModelCapError(f"more than {max_models} completion models")
         # a flipped level is exhausted; after a model, so is an auxiliary one
-        while levels and (levels[-1][2] or (consistent and levels[-1][1] >= len(proj))):
+        while levels and (levels[-1][2] or (consistent and levels[-1][1] > k)):
             levels.pop()
         if not levels:
             break
         level = levels[-1]
-        start, i = level[0], level[1]
-        lit = trail[start]
+        start, v = level[0], level[1]
         for undone in trail[start:]:
             val[undone] = val[-undone] = 0
         del trail[start:]
         qhead = start
         level[2] = True
-        assign(-lit)
+        assign(v)
         consistent = propagate()
-    return SolveReport(tuple(models), tuple(cnf.varmap), stats)
+    return SolveReport(tuple(models), cnf.literals, stats)
 
 
 def to_dimacs(cnf: Cnf) -> str:
-    lines = ["c var %d = %s" % (v, a) for a, v in sorted(cnf.varmap.items(), key=lambda kv: kv[1])]
+    lines = ["c var %d = %s" % vl for vl in enumerate(cnf.literals, 1)]
     lines.append("p cnf %d %d" % (cnf.num_vars, len(cnf.clauses)))
     lines += ["%s 0" % " ".join(map(str, clause)) for clause in cnf.clauses]
     return "\n".join(lines) + "\n"
@@ -262,17 +257,20 @@ class CompletionSolveResult:
     comes sorted by ranked_set_key: ``accepted`` holds the answer sets' ranks,
     with ``tags`` saying how each was admitted, and ``rejected`` pairs the
     ranks of each dropped model (one that failed the answer set check) with
-    those of its least reduct fixpoint.  answer_sets is built up front, and
-    dropped and completion_models, as sets of literals, on first read.
+    those of its least reduct fixpoint.  answer_sets, dropped and
+    completion_models, as sets of literals, are built on first read.
     """
 
     def __init__(self, literals, accepted, tags, rejected, stats: SolveStats):
-        self.literals, self.accepted, self.tags = literals, accepted, tags
-        self.rejected, self.stats = rejected, stats
-        self.answer_sets = tuple(map(self._literal_set, accepted))
+        self.literals, self.accepted, self.tags = literals, tuple(accepted), tuple(tags)
+        self.rejected, self.stats = tuple(rejected), stats
 
     def _literal_set(self, ranks) -> frozenset[Literal]:
         return frozenset(map(self.literals.__getitem__, ranks))
+
+    @cached_property
+    def answer_sets(self) -> tuple[frozenset[Literal], ...]:
+        return tuple(map(self._literal_set, self.accepted))
 
     @cached_property
     def dropped(self) -> tuple[frozenset[Literal], ...]:
@@ -294,27 +292,26 @@ def answer_sets_via_completion(
     the search's id sets.  An absolutely tight program admits every model
     outright.  Else a model is admitted if the program is tight on it (by
     the paper's theorem), failing that if its reduct fixpoint is all of it;
-    remaining models are dropped.  Only the answer sets are mapped to
-    literals here.
+    remaining models are dropped.  The models are sorted once, before
+    admission, so every list comes out in order.
     """
     checker = AnswerSetChecker(program)
     report = solve_all(clausify(checker), max_models=max_models)
-    accepted, rejected = [], []
+    # an id is its rank, and the search's id sets ascend
+    models = sorted(report.ids, key=ranked_set_key)
+    accepted, tags, rejected = [], [], []
     if not checker.cyclic_rules:
-        accepted = [(m, TAG_ABSOLUTELY_TIGHT) for m in report.ids]
+        accepted, tags = models, [TAG_ABSOLUTELY_TIGHT] * len(models)
     else:
-        for m in report.ids:
+        for m in models:
             xs = frozenset(m)
             tight = checker.is_tight_on(xs)
             # a completion model is a model of the program, so the walk runs
             # to the end and derives a subset of it
             derived = None if tight else checker.reduct_fixpoint(xs)
             if tight or len(derived) == len(xs):
-                accepted.append((m, TAG_TIGHT_ON_MODEL if tight else TAG_VERIFIED))
+                accepted.append(m)
+                tags.append(TAG_TIGHT_ON_MODEL if tight else TAG_VERIFIED)
             else:
                 rejected.append((m, tuple(sorted(derived))))
-    # an id is its rank, and the search's id sets ascend
-    accepted.sort(key=lambda pair: ranked_set_key(pair[0]))
-    rejected.sort(key=lambda pair: ranked_set_key(pair[0]))
-    sets, tags = tuple(m for m, _ in accepted), tuple(tag for _, tag in accepted)
-    return CompletionSolveResult(checker.literals, sets, tags, tuple(rejected), report.stats)
+    return CompletionSolveResult(checker.literals, accepted, tags, rejected, report.stats)

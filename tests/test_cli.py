@@ -165,6 +165,12 @@ class TestTight:
         }
         assert out == expected[on]
 
+    @pytest.mark.parametrize("on", [["--on=-q,p"], ["--on", "{-q, p}"], ["--on", "-q, p"]])
+    def test_on_a_set_that_starts_with_a_contrary(self, program_file, capsys, on):
+        # argparse reads a bare "--on -q,p" as two options; these forms pass the set
+        assert run(["tight", program_file("p :- -q.\n-q :- not r.\n"), *on]) == 0
+        assert capsys.readouterr().out == "tight on {p, -q}\nlambda: p=1, -q=0\n"
+
     def test_inconsistent_set_rejected(self, program_file, capsys):
         assert run(["tight", program_file(DOUBLE_NEG), "--on", "p, -p"]) == 1
         assert "consistent" in capsys.readouterr().err

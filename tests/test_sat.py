@@ -47,7 +47,7 @@ from tightlp.semantics import AnswerSetChecker
 class TestClausify:
     def test_original_atoms_are_a_variable_prefix(self):
         cnf = clausify(AnswerSetChecker(parse_program("p :- q.\nq :- not r.")))
-        assert cnf.varmap == {Literal(Atom("p")): 1, Literal(Atom("q")): 2, Literal(Atom("r")): 3}
+        assert cnf.literals == (Literal(Atom("p")), Literal(Atom("q")), Literal(Atom("r")))
         assert cnf.num_vars >= 3
         assert all(
             lit != 0 and abs(lit) <= cnf.num_vars
@@ -159,7 +159,7 @@ class TestClausify:
             atoms = [a for a, _ in comp.entries]
             for bits in range(2 ** len(atoms)):
                 true = {a for k, a in enumerate(atoms) if bits >> k & 1}
-                start = {v if l.atom in true else -v for l, v in cnf.varmap.items()}
+                start = {v if l.atom in true else -v for v, l in enumerate(cnf.literals, 1)}
                 derived = _unit_propagate(cnf.clauses, start)
                 if satisfies_completion(true, comp):
                     assert derived is not None
@@ -192,27 +192,27 @@ def _unit_propagate(clauses, assigned: set[int]) -> set[int] | None:
 
 class TestSolveAll:
     def test_exclusive_or(self):
-        cnf = Cnf(2, ((1, 2), (-1, -2)), {Atom("a"): 1, Atom("b"): 2})
+        cnf = Cnf(2, ((1, 2), (-1, -2)), (Atom("a"), Atom("b")))
         report = solve_all(cnf)
         assert set(report.models) == {frozenset({Atom("a")}), frozenset({Atom("b")})}
         assert len(report.models) == 2
         assert report.stats.decisions >= 1
 
     def test_unsatisfiable(self):
-        conflicting_units = Cnf(1, ((1,), (-1,)), {Atom("a"): 1})
+        conflicting_units = Cnf(1, ((1,), (-1,)), (Atom("a"),))
         assert solve_all(conflicting_units).models == ()
-        empty_clause = Cnf(2, ((1, 2), ()), {Atom("a"): 1})
+        empty_clause = Cnf(2, ((1, 2), ()), (Atom("a"),))
         assert solve_all(empty_clause).models == ()
 
-    def test_empty_varmap_is_an_existence_check(self):
-        sat = Cnf(2, ((1, 2), (-1, -2)), {})
+    def test_no_named_variables_is_an_existence_check(self):
+        sat = Cnf(2, ((1, 2), (-1, -2)), ())
         assert solve_all(sat).models == (frozenset(),)
-        unsat = Cnf(2, ((1, 2), (1, -2), (-1, 2), (-1, -2)), {})
+        unsat = Cnf(2, ((1, 2), (1, -2), (-1, 2), (-1, -2)), ())
         assert solve_all(unsat).models == ()
 
     def test_auxiliary_variables_are_projected_out(self):
         # var 2 is auxiliary: both values satisfy the clause set
-        cnf = Cnf(2, ((1, 2), (1, -2)), {Atom("a"): 1})
+        cnf = Cnf(2, ((1, 2), (1, -2)), (Atom("a"),))
         assert solve_all(cnf).models == (frozenset({Atom("a")}),)
 
     def test_deterministic_across_runs(self):
@@ -232,7 +232,7 @@ class TestSolveAll:
     def test_clauses_are_left_as_given(self):
         # mutable clauses, so that reordering them in place would show
         clauses = [[1, 2, 3], [-1, -2], [-3, 1], [2, 2]]
-        cnf = Cnf(3, clauses, {Atom("a"): 1, Atom("b"): 2})
+        cnf = Cnf(3, clauses, (Atom("a"), Atom("b")))
         assert solve_all(cnf).models == (frozenset({Atom("b")}),)
         assert cnf.clauses == [[1, 2, 3], [-1, -2], [-3, 1], [2, 2]]
 
@@ -240,9 +240,8 @@ class TestSolveAll:
         rng = random.Random(59)
         for _ in range(300):
             n = rng.randint(1, 8)
-            projected = [(Atom("x%d" % v), v) for v in range(1, rng.randint(0, n) + 1)]
-            # varmap order need not follow variable numbers
-            varmap = dict(rng.sample(projected, len(projected)))
+            # the named variables are a prefix 1..k
+            names = tuple(Atom("x%d" % v) for v in range(1, rng.randint(0, n) + 1))
             clauses = tuple(
                 tuple(
                     rng.choice((-1, 1)) * rng.randint(1, n)
@@ -254,8 +253,8 @@ class TestSolveAll:
             for bits in range(2**n):
                 true = {v for v in range(1, n + 1) if bits >> (v - 1) & 1}
                 if all(any((l > 0) == (abs(l) in true) for l in c) for c in clauses):
-                    expected.add(frozenset(a for a, v in varmap.items() if v in true))
-            report = solve_all(Cnf(n, clauses, varmap))
+                    expected.add(frozenset(a for v, a in enumerate(names, 1) if v in true))
+            report = solve_all(Cnf(n, clauses, names))
             assert set(report.models) == expected
             assert len(report.models) == len(expected)
 
