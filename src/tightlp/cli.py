@@ -176,9 +176,7 @@ def build_parser() -> _ArgumentParser:
     add_program_cmd("parse", _cmd_parse, "echo the program in canonical form")
     add_program_cmd("complete", _cmd_complete, "print the completion")
     p = add_program_cmd("tight", _cmd_tight, "tightness verdict")
-    p.add_argument(
-        "--on", help="comma-separated literals to check tightness on; --on=-q,p if -q comes first"
-    )
+    p.add_argument("--on", help="comma-separated literals to check tightness on")
     p = add_program_cmd("solve", _cmd_solve, "answer sets via completion and SAT")
     p.add_argument(
         "--max-models",
@@ -212,6 +210,12 @@ def build_parser() -> _ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate value that starts with '-', such as the set
+    # -q,p, for an option; joined to --on it is read as the value
+    while "--on" in argv[:-1]:
+        i = argv.index("--on")
+        argv[i : i + 2] = ["--on=" + argv[i + 1]]
     try:
         args = parser.parse_args(argv)
         return args.func(args)

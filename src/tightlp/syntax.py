@@ -34,7 +34,28 @@ class ArityWarning(UserWarning):
     """A predicate is used with more than one arity."""
 
 
-class Formula:
+class _Value:
+    """An immutable value.  Fields are set once, in __init__, and a node of
+    a formula stores its hash there too; equality checks identity, then
+    type and hash, then fields.  A class that defines __eq__ names __hash__
+    again, since Python drops the inherited one there."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+_set = object.__setattr__
+
+
+class Formula(_Value):
     """Base class for rule bodies: a literal, true, false, or a connective."""
 
     __slots__ = ()
@@ -43,22 +64,35 @@ class Formula:
         return render_formula(self)
 
 
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple[Term, ...] = ()
+class Atom(_Value):
+    __slots__ = ("predicate", "args", "_hash")
 
-    def __post_init__(self):
-        if not _is_predicate_name(self.predicate):
-            raise ValueError(f"invalid predicate name: {self.predicate!r}")
-        object.__setattr__(self, "args", tuple(self.args))
-        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+    def __init__(self, predicate: str, args: Iterable[Term] = ()):
+        if not _is_predicate_name(predicate):
+            raise ValueError(f"invalid predicate name: {predicate!r}")
+        args = tuple(args)
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((predicate, args)))
 
-    def __hash__(self) -> int:  # the generated hash, computed once, as Not's
-        return self._hash
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Atom:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.predicate == other.predicate
+            and self.args == other.args
+        )
+
+    __hash__ = _Value.__hash__
 
     def __reduce__(self):  # rebuilt on unpickling, so the hash is this process's
         return Atom, (self.predicate, self.args)
+
+    def __repr__(self) -> str:
+        return f"Atom(predicate={self.predicate!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         if not self.args:
@@ -66,21 +100,34 @@ class Atom:
         return "%s(%s)" % (self.predicate, ",".join(str(a) for a in self.args))
 
 
-@dataclass(frozen=True)
 class Literal(Formula):
     """An atom or its classical negation (rendered with a ``-`` prefix)."""
 
-    atom: Atom
-    negated: bool = False
+    __slots__ = ("atom", "negated", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
+    def __init__(self, atom: Atom, negated: bool = False):
+        _set(self, "atom", atom)
+        _set(self, "negated", negated)
+        _set(self, "_hash", hash((atom, negated)))
 
-    def __hash__(self) -> int:  # as Atom's
-        return self._hash
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Literal:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.atom == other.atom
+            and self.negated == other.negated
+        )
 
-    def __reduce__(self):
+    __hash__ = _Value.__hash__
+
+    def __reduce__(self):  # as Atom's
         return Literal, (self.atom, self.negated)
+
+    def __repr__(self) -> str:
+        return f"Literal(atom={self.atom!r}, negated={self.negated!r})"
 
     def __str__(self) -> str:
         return "-" + str(self.atom) if self.negated else str(self.atom)
@@ -141,51 +188,68 @@ TRUE = Top()
 FALSE = Bottom()
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand", "_hash")
 
-    # The hash is the generated one, computed once, so that hashing a deeply
-    # nested formula (clausify's cache does) never recurses.
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.operand,)))
+    # The hash is stored, so that hashing a deeply nested formula (clausify's
+    # cache does) never recurses.
+    def __init__(self, operand: Formula):
+        _set(self, "operand", operand)
+        _set(self, "_hash", hash((operand,)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Not:
+            return NotImplemented
+        return self._hash == other._hash and self.operand == other.operand
+
+    __hash__ = _Value.__hash__
 
     def __reduce__(self):  # as Atom's
         return Not, (self.operand,)
 
+    def __repr__(self) -> str:
+        return f"Not(operand={self.operand!r})"
 
-@dataclass(frozen=True, init=False)
+
 class _Junction(Formula):
     """An n-ary connective over two or more parts.  A first part with the
     same connective is spliced in, so ``(a, b), c`` is ``a, b, c``, as the
     left-associating parser reads it; a later one stays nested."""
 
-    parts: tuple[Formula, ...]
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, *parts: Formula):
         if len(parts) < 2:
             raise TypeError(f"{type(self).__name__} needs at least two parts")
         if type(parts[0]) is type(self):
             parts = parts[0].parts + parts[1:]
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_hash", hash((parts,)))  # as Not's
+        _set(self, "parts", parts)
+        _set(self, "_hash", hash((parts,)))  # as Not's
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self.parts == other.parts
+
+    __hash__ = _Value.__hash__
 
     def __reduce__(self):
         return type(self), self.parts
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(parts={self.parts!r})"
+
 
 class And(_Junction):
-    pass
+    __slots__ = ()
 
 
 class Or(_Junction):
-    pass
+    __slots__ = ()
 
 
 def conj_of(parts: Iterable[Formula]) -> Formula:
@@ -234,12 +298,31 @@ def positive_literals(formula: Formula) -> frozenset[Literal]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Rule:
-    """``head :- body``; head None encodes an integrity constraint."""
+class Rule(_Value):
+    """``head :- body``; head None encodes an integrity constraint.  The
+    hash is computed when asked for: few callers build a set of rules."""
 
-    head: Literal | None
-    body: Formula = TRUE
+    __slots__ = ("head", "body")
+
+    def __init__(self, head: Literal | None, body: Formula = TRUE):
+        _set(self, "head", head)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Rule:
+            return NotImplemented
+        return self.head == other.head and self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.body))
+
+    def __reduce__(self):
+        return Rule, (self.head, self.body)
+
+    def __repr__(self) -> str:
+        return f"Rule(head={self.head!r}, body={self.body!r})"
 
     def __str__(self) -> str:
         return render_rule(self)
@@ -342,17 +425,19 @@ def render(program: Program) -> str:
 # unexpected character.
 _IDENT = r"[a-z][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT)
-_TERM = rf"(?!(?:not|true|false)[,)])(?:{_IDENT}|[0-9]+)"
-# Whitespace and comments, then one token: a whole ground atom without spaces
-# (its name and terms identifiers other than keywords, or integers; any other
-# shape of atom is read token by token), an identifier, an integer, ':-', a
-# declaration, any other single character, or "" at the end of the input.
-# One findall reads every token string; offsets are found again only for a
-# message.
+_TERM = rf"(?:[0-9]+|(?!(?:not|true|false)[,)]){_IDENT})"
+# Whitespace and comments, then one token: a punctuation character, ':-', a
+# whole ground atom without spaces (its name and terms identifiers other than
+# keywords, or integers; any other shape of atom is read token by token), an
+# identifier, an integer, a declaration, any other single character, or "" at
+# the end of the input.  The first alternative that matches is taken, so the
+# common short tokens come first.  One findall reads every token string;
+# offsets are found again only for a message.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*("
-    rf"(?!(?:not|true|false)\(){_IDENT}\({_TERM}(?:,{_TERM})*\)"
-    rf"|{_IDENT}|[0-9]+|:-|#[a-z]*|.|\Z)"
+    r"[-.,;(){}]|:-"
+    rf"|(?!(?:not|true|false)\(){_IDENT}\({_TERM}(?:,{_TERM})*\)"
+    rf"|{_IDENT}|[0-9]+|#[a-z]*|.|\Z)"
 )
 
 
@@ -413,12 +498,10 @@ class _Parser:
         self.arity_warned: set[str] = set()
         # The one Atom and Literal of each value in this parse, so that later
         # set lookups meet the same object.  The types never compare equal,
-        # so one table holds both; a Literal is also found by (negated, token)
-        # when that one token names its atom.
+        # so one table holds both; a Literal is also found by its text, a
+        # str, when one token names its atom: a positive one by that token,
+        # a contrary by "-" and the token.
         self.seen: dict = {}
-
-    def one(self, x):
-        return self.seen.setdefault(x, x)
 
     def accept(self, value: str) -> bool:
         """Consume the next token if it is value."""
@@ -447,16 +530,20 @@ class _Parser:
         rules: list[Rule] = []
         declared: set[Literal] = set()
         while token := self.tokens[self.pos]:
-            if self.accept("#universe"):
+            if token == "{":
+                rules.append(self.choice_rule())
+            elif token == "#universe":
+                self.pos += 1
                 declared.update(self.literal_list())
                 self.expect(".")
-            elif token == "{":
-                rules.append(self.choice_rule())
             elif token.isdigit():
                 raise self.fail("weight constraints are not supported")
             else:
                 rules.append(self.rule())
-        return Program(tuple(rules), frozenset(declared))
+        program = Program(tuple(rules), frozenset(declared))
+        # every literal of the program was read, so the table holds its universe
+        program.__dict__["universe"] = frozenset(x for x in self.seen if type(x) is Literal)
+        return program
 
     def literal_list(self) -> list[Literal]:
         out = [self.lit()]
@@ -481,28 +568,52 @@ class _Parser:
         return Rule(lit, Not(Not(lit)))
 
     def rule(self) -> Rule:
+        tokens, pos = self.tokens, self.pos
         head = None
-        if not self.accept(":-"):
-            head = self.lit()
-            if self.accept("."):
+        if tokens[pos] != ":-":
+            head = self.seen.get(tokens[pos])  # read before: as in body()
+            if head is None or tokens[pos + 1] == "(":
+                head = self.lit()
+                pos = self.pos
+            else:
+                pos += 1
+            if tokens[pos] == ".":
+                self.pos = pos + 1
                 return Rule(head, TRUE)
-            self.expect(":-")
+            if tokens[pos] != ":-":
+                self.pos = pos
+                self.expect(":-")  # raises
+        self.pos = pos + 1
         body = self.body()
-        self.expect(".")
+        if tokens[self.pos] != ".":
+            self.expect(".")  # raises
+        self.pos += 1
         return Rule(head, body)
 
     def body(self) -> Formula:
-        parts = [self.conjunction()]
-        while self.accept(";"):
-            parts.append(self.conjunction())
-        return Or(*parts) if len(parts) > 1 else parts[0]
-
-    def conjunction(self) -> Formula:
-        parts = [self.unary()]
-        while self.tokens[self.pos] == ",":
-            self.pos += 1
-            parts.append(self.unary())
-        return And(*parts) if len(parts) > 1 else parts[0]
+        tokens, seen, pos = self.tokens, self.seen, self.pos
+        disjuncts = []
+        while True:
+            parts = []
+            while True:
+                # A positive literal read before and named by one token is
+                # taken from the table, as lit() would take it.
+                lit = seen.get(tokens[pos])
+                if lit is None or tokens[pos + 1] == "(":
+                    self.pos = pos
+                    lit = self.unary()
+                    pos = self.pos
+                else:
+                    pos += 1
+                parts.append(lit)
+                if tokens[pos] != ",":
+                    break
+                pos += 1
+            disjuncts.append(And(*parts) if len(parts) > 1 else parts[0])
+            if tokens[pos] != ";":
+                self.pos = pos
+                return Or(*disjuncts) if len(disjuncts) > 1 else disjuncts[0]
+            pos += 1
 
     def unary(self) -> Formula:
         token = self.tokens[self.pos]
@@ -524,11 +635,13 @@ class _Parser:
         negated = self.tokens[self.pos] == "-"
         index = self.pos = self.pos + negated
         token = self.tokens[index]
-        lit = self.seen.get((negated, token))
+        key = "-" + token if negated else token
+        lit = self.seen.get(key)
         if lit is None or self.tokens[index + 1] == "(":
-            lit = self.one(Literal(self.atom(), negated))
+            lit = Literal(self.atom(), negated)
+            lit = self.seen.setdefault(lit, lit)
             if self.pos == index + 1:  # the one token names the atom
-                self.seen[negated, token] = lit
+                self.seen[key] = lit
         else:
             self.pos += 1
         return lit
@@ -540,11 +653,11 @@ class _Parser:
         index = self.pos
         self.pos += 1
         if token[-1] == ")":  # a whole ground atom
-            known = self.seen.get((False, token))  # read before, as a positive literal
+            known = self.seen.get(token)  # read before, as a positive literal
             if known is not None:
                 return known.atom
             name, _, terms = token[:-1].partition("(")
-            args = tuple(int(t) if t < "a" else t for t in terms.split(","))
+            args = tuple([int(t) if t < "a" else t for t in terms.split(",")])
         else:
             name, args = token, []
             if self.accept("("):
@@ -553,8 +666,11 @@ class _Parser:
                     args.append(self.term())
                 self.expect(")")
             args = tuple(args)
-        self.record_arity(name, index, len(args))
-        return self.one(Atom(name, args))
+        arity = len(args)
+        if self.arities.setdefault(name, arity) != arity:
+            self.arity_clash(name, index, arity)
+        atom = Atom(name, args)
+        return self.seen.setdefault(atom, atom)
 
     def term(self) -> Term:
         token = self.tokens[self.pos]
@@ -570,9 +686,11 @@ class _Parser:
             return token
         raise self.fail(f"expected a term, found {self.found()!r}")
 
-    def record_arity(self, name: str, index: int, arity: int) -> None:
-        seen = self.arities.setdefault(name, arity)
-        if seen != arity and name not in self.arity_warned:
+    def arity_clash(self, name: str, index: int, arity: int) -> None:
+        """Warn, once per name, that the atom at token index has another
+        arity than the name's first use."""
+        seen = self.arities[name]
+        if name not in self.arity_warned:
             self.arity_warned.add(name)
             line = _position(self.text, _token_offset(self.text, index))[0]
             warnings.warn(

@@ -165,9 +165,11 @@ class TestTight:
         }
         assert out == expected[on]
 
-    @pytest.mark.parametrize("on", [["--on=-q,p"], ["--on", "{-q, p}"], ["--on", "-q, p"]])
+    @pytest.mark.parametrize(
+        "on", [["--on=-q,p"], ["--on", "{-q, p}"], ["--on", "-q, p"], ["--on", "-q,p"]]
+    )
     def test_on_a_set_that_starts_with_a_contrary(self, program_file, capsys, on):
-        # argparse reads a bare "--on -q,p" as two options; these forms pass the set
+        # argparse alone reads a bare "--on -q,p" as two options; every form passes the set
         assert run(["tight", program_file("p :- -q.\n-q :- not r.\n"), *on]) == 0
         assert capsys.readouterr().out == "tight on {p, -q}\nlambda: p=1, -q=0\n"
 

@@ -12,7 +12,7 @@ import random
 import re
 from collections import Counter
 
-from tightlp import is_absolutely_tight, is_tight_on, parse_literals, parse_program
+from tightlp import Program, is_absolutely_tight, is_tight_on, parse_literals, parse_program
 from tightlp.cli import run
 
 # atoms with and without arguments; constants mix integers and names
@@ -101,6 +101,7 @@ def test_solve_matches_enumerate_and_tags_match_the_library(tmp_path, capsys):
         with open(path, "w") as fh:
             fh.write(text)
         program = parse_program(text)
+        assert program.universe == Program(program.rules, program.declared).universe
         assert run(["enumerate", path]) == 0
         expected = capsys.readouterr()
         assert expected.err == ""

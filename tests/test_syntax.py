@@ -78,6 +78,47 @@ class TestAtomsAndLiterals:
             ).stdout
         assert out == "True True\n"
 
+    def test_nodes_are_values(self):
+        # each node built twice apart: equal, hashed alike, and never assigned
+        def build():
+            a, q = Atom("p", (1, "x")), Literal(Atom("q"))
+            lit = Literal(a, True)
+            return [
+                (a, "predicate", "q"),
+                (lit, "negated", False),
+                (Not(lit), "operand", q),
+                (And(lit, q), "parts", (q, lit)),
+                (Or(q, lit, TRUE), "parts", (q, lit)),
+                (Rule(q, Not(lit)), "head", None),
+            ]
+
+        for (node, field, value), (other, _, _) in zip(build(), build()):
+            assert node is not other and node == other and hash(node) == hash(other)
+            assert not node != other
+            for change in (
+                lambda: setattr(node, field, value),
+                lambda: delattr(node, field),
+                lambda: setattr(node, "extra", value),
+            ):
+                with pytest.raises(AttributeError):
+                    change()
+            assert node == other
+        lq, lp = Literal(Atom("q")), Literal(Atom("p"))
+        assert Atom("p", (1, "x")) != Atom("p", (1, "y")) and Atom("p") != lp
+        assert And(lq, lp) != Or(lq, lp) and Not(lq) != Not(lp) and lp != complement(lp)
+        assert Rule(lq) != Rule(lp) and Rule(lq) != Rule(lq, lp) and Rule(None) != lq
+        assert [repr(node) for node, _, _ in build()] == [
+            "Atom(predicate='p', args=(1, 'x'))",
+            "Literal(atom=Atom(predicate='p', args=(1, 'x')), negated=True)",
+            "Not(operand=Literal(atom=Atom(predicate='p', args=(1, 'x')), negated=True))",
+            "And(parts=(Literal(atom=Atom(predicate='p', args=(1, 'x')), negated=True), "
+            "Literal(atom=Atom(predicate='q', args=()), negated=False)))",
+            "Or(parts=(Literal(atom=Atom(predicate='q', args=()), negated=False), "
+            "Literal(atom=Atom(predicate='p', args=(1, 'x')), negated=True), Top()))",
+            "Rule(head=Literal(atom=Atom(predicate='q', args=()), negated=False), "
+            "body=Not(operand=Literal(atom=Atom(predicate='p', args=(1, 'x')), negated=True)))",
+        ]
+
     def test_atom_renders_with_args(self):
         assert str(Atom("on", ("b1", "table", 0))) == "on(b1,table,0)"
         assert str(Atom("p")) == "p"
@@ -318,6 +359,7 @@ class TestAtomTokens:
                 negated_first + text,
             ):
                 parsed = parse_program(variant)
+                assert parsed.universe == Program(parsed.rules, parsed.declared).universe
                 assert parsed.rules[-len(plain.rules) :] == plain.rules, variant
                 assert parsed.declared == plain.declared
                 lits = lits_of(parsed)
