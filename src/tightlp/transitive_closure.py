@@ -146,8 +146,8 @@ def check_constrained_acyclicity(
 ) -> bool:
     """With every irreflexivity constraint ``:- tc(c,c)`` present, a
     consistent closed set of the program plus the definition can only induce
-    an acyclic base relation.  Verifies the preconditions, then asserts and
-    returns the well-foundedness."""
+    an acyclic base relation.  Verifies the preconditions, then returns True,
+    or raises RuntimeError if the base relation is cyclic after all."""
     xs = frozenset(x)
     rule_set = program.rule_set
     tc = _pair_literals(spec)[1]
@@ -159,6 +159,6 @@ def check_constrained_acyclicity(
         raise ValueError("x must be consistent")
     if not is_closed(xs, merge_programs(program, def_rules(spec))):
         raise ValueError("x must be closed under the program plus the definition")
-    result = is_wellfounded({(a, b) for (b, a) in p_extent(xs, spec)})
-    assert result, "closed set induced a cyclic base relation"
-    return result
+    if not is_wellfounded({(a, b) for (b, a) in p_extent(xs, spec)}):
+        raise RuntimeError("closed set induced a cyclic base relation")
+    return True

@@ -6,14 +6,20 @@ cycles in two to four components.
 fixpoint, so agreement tests the completion, its encoding, the all-models
 search and admission.  Each ``solve --trace`` tag is held to the library's
 Literal-graph tightness checks, not to the checker's id-based ones.
+Token-level mutants of these programs and of README's go through every
+command, which must end in an exit code, never a traceback.
 """
 
 import random
 import re
 from collections import Counter
 
+import pytest
+
 from tightlp import Program, is_absolutely_tight, is_tight_on, parse_literals, parse_program
 from tightlp.cli import run
+
+from test_readme import FILES, section
 
 # atoms with and without arguments; constants mix integers and names
 POOL = (
@@ -114,3 +120,56 @@ def test_solve_matches_enumerate_and_tags_match_the_library(tmp_path, capsys):
         seen += tags_hold(program, traced.err)
     # the sweep reaches every branch of admission
     assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+
+def input_language_program() -> str:
+    """README's "Input language" block with its comments cut: one line of
+    each kind of statement."""
+    block = section("Input language").split("```\n")[1]
+    return "".join(re.split(r"\s{2,}", line)[0] + "\n" for line in block.splitlines())
+
+
+TOKEN = re.compile(r":-|#?\w+|\S")
+COMMANDS = (
+    ["parse"], ["complete"], ["tight"], ["tight", "--on", "p,q"],
+    ["solve", "--trace"], ["enumerate"], ["dimacs"],
+)  # fmt: skip
+
+
+def mutants(text: str, rng: random.Random, count: int):
+    """count texts, each with one token deleted or doubled, or two names or
+    numbers swapped (which mostly still parses); the text between tokens
+    stays."""
+    spans = [m.span() for m in TOKEN.finditer(text)]
+    words = [(s, e) for s, e in spans if text[s].isalnum()]
+    for _ in range(count):
+        s, e = rng.choice(spans)
+        (s1, e1), (s2, e2) = sorted(rng.sample(words, 2))
+        yield rng.choice(
+            (
+                text[:s] + text[e:],
+                text[:e] + " " + text[s:e] + text[e:],
+                text[:s1] + text[s2:e2] + text[e1:s2] + text[s1:e1] + text[e2:],
+            )
+        )
+
+
+# a command prints an ArityWarning as a line on stderr; here it would be an error
+@pytest.mark.filterwarnings("ignore::tightlp.ArityWarning")
+def test_no_command_ends_in_a_traceback_on_a_mutated_program(tmp_path, capsys):
+    rng = random.Random(7)
+    seeds = [*FILES.values(), input_language_program()]
+    seeds += [differential_program(rng) for _ in range(3)]
+    path = str(tmp_path / "prog.lp")
+    calls = Counter()
+    for seed in seeds:
+        for text in mutants(seed, rng, 12):
+            with open(path, "w") as fh:
+                fh.write(text)
+            for command in COMMANDS:
+                code = run([command[0], path, *command[1:]])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2) and "Traceback" not in err, (command, text)
+                calls[code] += 1
+    # mutants that still read and ones that do not
+    assert sum(calls.values()) == 420 and calls[0] and calls[1], calls

@@ -20,6 +20,7 @@ from tightlp import (
     ArityWarning,
     Atom,
     BlocksSpec,
+    Bottom,
     DefSpec,
     Literal,
     Not,
@@ -28,6 +29,7 @@ from tightlp import (
     Program,
     QueensSpec,
     Rule,
+    Top,
     blocksworld_program,
     complement,
     def_rules,
@@ -58,15 +60,15 @@ def body(text: str):
 
 class TestAtomsAndLiterals:
     def test_unpickling_in_another_process_rehashes(self):
-        # Atom, Literal, Not, And and Or store their hash, and str hashes
-        # differ from process to process
-        text = "p(1) :- not q, (r ; -s(a))."
+        # Atom, Literal, Not, And and Or store their hash, Top and Bottom
+        # hold one in the class, and str hashes differ from process to process
+        text = "p(1) :- not q, (r ; -s(a)).\nq.\nr :- true.\n:- q, false."
         head = "import pickle, sys; from tightlp import parse_program; "
         dump = head + "print(pickle.dumps(parse_program(%r)).hex())" % text
         load = head + (
             "prog = pickle.loads(bytes.fromhex(sys.stdin.read())); "
             "fresh = parse_program(%r); "
-            "print(fresh.rules[0] in prog.rule_set, fresh.universe == prog.universe)"
+            "print(all(r in prog.rule_set for r in fresh.rules), fresh.universe == prog.universe)"
         ) % text
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = ""
@@ -90,6 +92,8 @@ class TestAtomsAndLiterals:
                 (And(lit, q), "parts", (q, lit)),
                 (Or(q, lit, TRUE), "parts", (q, lit)),
                 (Rule(q, Not(lit)), "head", None),
+                (Top(), "_hash", 0),
+                (Bottom(), "_hash", 0),
             ]
 
         for (node, field, value), (other, _, _) in zip(build(), build()):
@@ -117,7 +121,13 @@ class TestAtomsAndLiterals:
             "Literal(atom=Atom(predicate='p', args=(1, 'x')), negated=True), Top()))",
             "Rule(head=Literal(atom=Atom(predicate='q', args=()), negated=False), "
             "body=Not(operand=Literal(atom=Atom(predicate='p', args=(1, 'x')), negated=True)))",
+            "Top()",
+            "Bottom()",
         ]
+        # the constants are values of the same kind: any Top is TRUE
+        assert Top() == TRUE and hash(Top()) == hash(TRUE) and not Top() != TRUE
+        assert Bottom() == FALSE and hash(Bottom()) == hash(FALSE)
+        assert Top() != Bottom() and TRUE != FALSE and TRUE != lq and Rule(lq) == Rule(lq, Top())
 
     def test_atom_renders_with_args(self):
         assert str(Atom("on", ("b1", "table", 0))) == "on(b1,table,0)"

@@ -254,7 +254,16 @@ class TestConstrainedAcyclicity:
     def test_accepts_an_acyclic_closed_set(self):
         prog = parse_program("p(1,2).\n" + self.CONSTRAINTS)
         x = frozenset({plit(SPEC12, 1, 2), tclit(SPEC12, 1, 2)})
-        assert check_constrained_acyclicity(prog, SPEC12, x)
+        assert check_constrained_acyclicity(prog, SPEC12, x) is True
+
+    def test_a_cyclic_verdict_raises_even_without_asserts(self, monkeypatch):
+        # the theorem makes this unreachable, so stand in a wrong verdict;
+        # the check is an exception, not an assert that python -O removes
+        monkeypatch.setattr("tightlp.transitive_closure.is_wellfounded", lambda pairs: False)
+        prog = parse_program("p(1,2).\n" + self.CONSTRAINTS)
+        x = frozenset({plit(SPEC12, 1, 2), tclit(SPEC12, 1, 2)})
+        with pytest.raises(RuntimeError, match="cyclic base relation"):
+            check_constrained_acyclicity(prog, SPEC12, x)
 
     def test_missing_constraint_is_rejected(self):
         prog = parse_program("p(1,2).\n:- tc(1,1).")
