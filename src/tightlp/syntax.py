@@ -421,6 +421,20 @@ def _is_predicate_name(name: str) -> bool:
     return _IDENT_RE.fullmatch(name) is not None and name not in _KEYWORDS
 
 
+@lru_cache(maxsize=4096)
+def _token_literal(key: str) -> Literal:
+    """The Literal that one atom token names, or "-" and that token for its
+    contrary, which shares the token's atom.  Every parse takes a literal
+    it meets first from here, so parses share their one-token literals;
+    the parser checks the token first."""
+    if key[0] == "-":
+        return Literal(_token_literal(key[1:]).atom, True)
+    if key[-1] != ")":
+        return Literal(Atom(key))
+    name, _, terms = key[:-1].partition("(")
+    return Literal(Atom(name, [int(t) if t < "a" else t for t in terms.split(",")]))
+
+
 def _position(text: str, pos: int) -> tuple[int, int]:
     """1-based line and column of an offset."""
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
@@ -475,7 +489,8 @@ class _Parser:
         # set lookups meet the same object.  The types never compare equal,
         # so one table holds both; a Literal is also found by its text, a
         # str, when one token names its atom: a positive one by that token,
-        # a contrary by "-" and the token.
+        # a contrary by "-" and the token.  Those Literals come from
+        # _token_literal, so this parse shares them with earlier ones.
         self.seen: dict = {}
 
     def accept(self, value: str) -> bool:
@@ -607,44 +622,53 @@ class _Parser:
 
     def lit(self) -> Literal:
         """The one Literal at the next tokens."""
-        negated = self.tokens[self.pos] == "-"
+        tokens, seen = self.tokens, self.seen
+        negated = tokens[self.pos] == "-"
         index = self.pos = self.pos + negated
-        token = self.tokens[index]
+        token = tokens[index]
         key = "-" + token if negated else token
-        lit = self.seen.get(key)
-        if lit is None or self.tokens[index + 1] == "(":
-            lit = Literal(self.atom(), negated)
-            lit = self.seen.setdefault(lit, lit)
-            if self.pos == index + 1:  # the one token names the atom
-                self.seen[key] = lit
-        else:
+        lit = seen.get(key)
+        if lit is not None and tokens[index + 1] != "(":
             self.pos += 1
+        elif (
+            "a" <= token[:1] <= "z"
+            and token not in _KEYWORDS
+            and (token[-1] == ")" or tokens[index + 1] != "(")
+        ):
+            # one token names the atom: first met in this parse, so taken
+            # from the shared table and made this parse's own
+            lit = _token_literal(key)
+            atom = lit.atom
+            name, arity = atom.predicate, len(atom.args)
+            if self.arities.setdefault(name, arity) != arity:
+                self.arity_clash(name, index, arity)
+            atom = seen.setdefault(atom, atom)
+            if atom is not lit.atom:  # this parse met the atom spelled otherwise
+                lit = Literal(atom, negated)
+            lit = seen[key] = seen.setdefault(lit, lit)
+            self.pos = index + 1
+        else:
+            lit = Literal(self.atom(), negated)
+            lit = seen.setdefault(lit, lit)
         return lit
 
     def atom(self) -> Atom:
+        """An atom read token by token: a name, then terms in parentheses."""
         token = self.tokens[self.pos]
         if not "a" <= token[:1] <= "z" or token in _KEYWORDS:
             raise self.fail(f"expected an atom, found {self.found()!r}")
         index = self.pos
         self.pos += 1
-        if token[-1] == ")":  # a whole ground atom
-            known = self.seen.get(token)  # read before, as a positive literal
-            if known is not None:
-                return known.atom
-            name, _, terms = token[:-1].partition("(")
-            args = tuple([int(t) if t < "a" else t for t in terms.split(",")])
-        else:
-            name, args = token, []
-            if self.accept("("):
+        args = []
+        if self.accept("("):
+            args.append(self.term())
+            while self.accept(","):
                 args.append(self.term())
-                while self.accept(","):
-                    args.append(self.term())
-                self.expect(")")
-            args = tuple(args)
+            self.expect(")")
         arity = len(args)
-        if self.arities.setdefault(name, arity) != arity:
-            self.arity_clash(name, index, arity)
-        atom = Atom(name, args)
+        if self.arities.setdefault(token, arity) != arity:
+            self.arity_clash(token, index, arity)
+        atom = Atom(token, args)
         return self.seen.setdefault(atom, atom)
 
     def term(self) -> Term:

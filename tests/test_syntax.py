@@ -47,7 +47,7 @@ from tightlp import (
     render,
     render_rule,
 )
-from tightlp.syntax import ranked_set_key
+from tightlp.syntax import _token_literal, ranked_set_key
 
 
 def p(text: str) -> Program:
@@ -282,6 +282,29 @@ def lits_of(prog: Program) -> list[Literal]:
     return out
 
 
+# What the parser makes of atoms and of bad atoms, as rendered text or error.
+PINNED_RESULTS = [
+    ("p(a(b)).", "line 1, column 4: expected ')', found '('"),
+    ("p(1,a(b)).", "line 1, column 6: expected ')', found '('"),
+    ("p( a(b)).", "line 1, column 5: expected ')', found '('"),
+    ("p(not).", "line 1, column 3: expected a term, found 'not'"),
+    ("not(1).", "line 1, column 1: expected an atom, found 'not'"),
+    ("true(1).", "line 1, column 1: expected an atom, found 'true'"),
+    ("p(1)(2).", "line 1, column 5: expected ':-', found '('"),
+    ("p(1)q(2).", "line 1, column 5: expected ':-', found 'q'"),
+    ("p(-1).", "line 1, column 3: expected a term, found '-'"),
+    ("q :- p(1,true).", "line 1, column 10: expected a term, found 'true'"),
+    ("p(1,).", "line 1, column 5: expected a term, found ')'"),
+    ("p(1,2", "line 1, column 6: expected ')', found 'end of input'"),
+    ("p( 1 ,2 ).", "p(1,2)."),
+    ("p(007,x) :- not q(1,2).", "p(7,x) :- not q(1,2)."),
+]
+PINNED_LIST_ERRORS = [
+    ("{p(a(b))}", "line 1, column 5: expected ')', found '('"),
+    ("p(1), q(2) r(3)", "line 1, column 12: unexpected 'r' after literal list"),
+]
+
+
 class TestAtomTokens:
     """A ground atom without spaces is read as one token; any other shape is
     read token by token, with the same result and the same errors."""
@@ -391,25 +414,7 @@ class TestAtomTokens:
             atoms = [l.atom for l in x]
             assert len({id(a) for a in atoms}) == len(set(atoms))
 
-    @pytest.mark.parametrize(
-        "text, expected",
-        [
-            ("p(a(b)).", "line 1, column 4: expected ')', found '('"),
-            ("p(1,a(b)).", "line 1, column 6: expected ')', found '('"),
-            ("p( a(b)).", "line 1, column 5: expected ')', found '('"),
-            ("p(not).", "line 1, column 3: expected a term, found 'not'"),
-            ("not(1).", "line 1, column 1: expected an atom, found 'not'"),
-            ("true(1).", "line 1, column 1: expected an atom, found 'true'"),
-            ("p(1)(2).", "line 1, column 5: expected ':-', found '('"),
-            ("p(1)q(2).", "line 1, column 5: expected ':-', found 'q'"),
-            ("p(-1).", "line 1, column 3: expected a term, found '-'"),
-            ("q :- p(1,true).", "line 1, column 10: expected a term, found 'true'"),
-            ("p(1,).", "line 1, column 5: expected a term, found ')'"),
-            ("p(1,2", "line 1, column 6: expected ')', found 'end of input'"),
-            ("p( 1 ,2 ).", "p(1,2)."),
-            ("p(007,x) :- not q(1,2).", "p(7,x) :- not q(1,2)."),
-        ],
-    )
+    @pytest.mark.parametrize("text, expected", PINNED_RESULTS)
     def test_results_are_pinned(self, text, expected):
         try:
             got = render(parse_program(text))
@@ -418,10 +423,115 @@ class TestAtomTokens:
         assert got == expected
 
     def test_literal_list_errors_are_pinned(self):
-        with pytest.raises(ParseError, match="^line 1, column 5: expected '\\)', found '\\('$"):
-            parse_literals("{p(a(b))}")
-        with pytest.raises(ParseError, match="^line 1, column 12: unexpected 'r' after literal list$"):
-            parse_literals("p(1), q(2) r(3)")
+        for text, expected in PINNED_LIST_ERRORS:
+            with pytest.raises(ParseError) as e:
+                parse_literals(text)
+            assert str(e.value) == expected
+
+
+class TestSharedLiterals:
+    """Parses take the literals that one token names from one bounded table,
+    so later parses meet the objects that earlier ones built; all else is
+    per parse, as if every parse were the first."""
+
+    def test_two_parses_share_their_one_token_literals(self):
+        _token_literal.cache_clear()
+        (first,) = p("p(1,2) :- q, not -r(x).").rules
+        second, fact = p("s :- -r(x), p(1,2). q.").rules
+        neg, pos = second.body.parts
+        assert pos is first.head and neg is first.body.parts[1].operand
+        assert fact.head is first.body.parts[0]
+        # a spelling over several tokens is this parse's own
+        spaced = p("s :- p( 1, 2 ).").rules[0].body
+        assert spaced == pos and spaced is not pos
+
+    def test_parse_literals_returns_the_programs_own_objects(self):
+        _token_literal.cache_clear()
+        prog = p("{p(1,2)}. tc(1,2) :- p(1,2). -q :- not tc(1,2).")
+        own = {l: l for l in prog.universe}
+        x = parse_literals("{p(1,2), tc(1,2), -q}")
+        assert x == set(own) and all(own[l] is l for l in x)
+
+    @pytest.mark.parametrize("cold", [True, False])
+    def test_arity_warnings_are_per_parse(self, cold):
+        mixed = "q :- p(1).\np(1,2) :- q."
+        message = r"^predicate 'p' used with arities 1 and 2 \(line 2\)$"
+        if cold:
+            _token_literal.cache_clear()
+        for _ in range(2):  # the second parse meets every literal in the table
+            with pytest.warns(ArityWarning, match=message):
+                p(mixed)
+            with pytest.warns(ArityWarning, match="arities 2 and 1"):
+                parse_literals("p(1,2), -p(1)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ArityWarning)
+            p("p(1,2). q :- p(1,2), -p(1,2).")
+            p("p(1) :- not p(1).")
+            parse_literals("p(1), -p(1)")
+
+    def test_pinned_results_hold_with_the_table_warm(self):
+        # enter every ground atom that the texts spell, and its contrary
+        for text, _ in PINNED_RESULTS + PINNED_LIST_ERRORS:
+            for atom in re.findall(r"[a-z]\w*(?:\([\w,]*\))?", text):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ArityWarning)
+                    try:
+                        parse_literals("%s, -%s" % (atom, atom))
+                    except ParseError:
+                        pass
+        for text, expected in PINNED_RESULTS:
+            TestAtomTokens.test_results_are_pinned(self, text, expected)
+        TestAtomTokens.test_literal_list_errors_are_pinned(self)
+
+    def test_one_object_per_value_past_the_table_size(self):
+        size = _token_literal.cache_info().maxsize
+        _token_literal.cache_clear()
+        # p(1,2) enters the table before its contrary, then goes out first
+        parse_literals("-p(1,2)")
+        parse_literals(", ".join("f(%d)" % i for i in range(size - 1)))
+        assert _token_literal("-p(1,2)").atom is not _token_literal("p(1,2)").atom
+        for text in ("q :- p(1,2), -p(1,2).", "q :- p( 1, 2 ), -p(1,2), p(1,2)."):
+            (rule,) = p(text).rules
+            lits = rule.body.parts
+            assert lits[0].atom is lits[1].atom and all(l is lits[0] for l in lits[2:])
+
+    def test_one_object_per_value_in_a_parse_that_overflows_the_table(self):
+        size = _token_literal.cache_info().maxsize
+        rng = random.Random(32)
+        names = ["p(%d,%d)" % (i, i % 7) for i in range(size + size // 2)]
+        spellings = lambda a: (a, "-" + a, "- " + a, a.replace("(", "( ").replace(",", " , "))
+        for _ in range(3):
+            picked = [rng.choice(spellings(a)) for a in names for _ in range(rng.randint(1, 3))]
+            rng.shuffle(picked)
+            (rule,) = p("q :- %s." % ", ".join(picked)).rules
+            lits = rule.body.parts
+            for objects in (lits, [l.atom for l in lits]):
+                first = {}
+                assert all(first.setdefault(x, x) is x for x in objects)
+
+    def test_results_do_not_depend_on_the_parse_order(self):
+        rng = random.Random(33)
+        args = {"a": "(1,x)", "b": "(7)", "c": "", "d": "(y,20,z)", "e": ""}
+
+        def text():
+            t = render(random_program(rng, n_atoms=5, classical=True, depth=3))
+            t = re.sub(r"\b[a-e]\b", lambda m: m.group() + args[m.group()], t)
+            # another arity for b at one occurrence, in some programs
+            return re.sub(r"\bb\(7\)", "b", t, count=1) if rng.random() < 0.3 else t
+
+        def results(texts):
+            _token_literal.cache_clear()
+            out = {}
+            for t in texts:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    prog = parse_program(t)
+                out[t] = (render(prog), prog.universe, [str(w.message) for w in caught])
+            return out
+
+        for _ in range(100):
+            pair = [text(), text()]
+            assert results(pair) == results(pair[::-1])
 
 
 class TestInputEdges:
